@@ -34,44 +34,50 @@ object MLogreg {
     }
     val Y1 = ctx.bind("Y1", y1Data)
 
-    var b = MatrixBlock.zeros(m, k1): MatrixBlock
-    var loss = 0.0
-    var iter = 0
-    while (iter < maxIter) {
-      val bB = ctx.bindLocal(s"B$iter", b)
-      // P = exp(XB) / (1 + rowSums(exp(XB))) and gradient G = t(X)(P - Y1)
-      val e = (X %*% bB).exp
-      val p = e / (e.rowSums + 1.0)
-      val gExpr = (X.t %*% (p - Y1)) + bB * lambda
-      val lossExpr = ((p - Y1) ^ 2.0).sum // squared-error surrogate diagnostic
-      val Seq(gD, lossD, pD) = ctx.eval(Seq(gExpr, lossExpr, p))
-      val g = gD.toLocal
-      loss = lossD.toLocal.get(0, 0)
-      val P = ctx.bind(s"P$iter", pD)
+    // Y1 is created here, so it is released here
+    try {
+      var b = MatrixBlock.zeros(m, k1): MatrixBlock
+      var loss = 0.0
+      var iter = 0
+      while (iter < maxIter) {
+        val bB = ctx.bindLocal(s"B$iter", b)
+        // P = exp(XB) / (1 + rowSums(exp(XB))) and gradient G = t(X)(P - Y1)
+        val e = (X %*% bB).exp
+        val p = e / (e.rowSums + 1.0)
+        val gExpr = (X.t %*% (p - Y1)) + bB * lambda
+        val lossExpr = ((p - Y1) ^ 2.0).sum // squared-error surrogate diagnostic
+        val Seq(gD, lossD, pD) = ctx.eval(Seq(gExpr, lossExpr, p))
+        val g = gD.toLocal
+        loss = lossD.toLocal.get(0, 0)
+        val P = ctx.bind(s"P$iter", pD)
 
-      // CG solve (X' W X + lambda I) d = -G with Eq. (2) Hessian-vector products
-      var d = MatrixBlock.zeros(m, k1): MatrixBlock
-      var r = scaleAdd(g, g, -2.0) // r = -g
-      var pDir = r
-      var rs = frob2(r)
-      var cg = 0
-      while (cg < innerIter && rs > 1e-16) {
-        val vB = ctx.bindLocal(s"V${iter}_$cg", pDir)
-        val q = P * (X %*% vB)
-        val hvExpr = (X.t %*% (q - P * q.rowSums)) + vB * lambda
-        val hv = ctx.eval(Seq(hvExpr)).head.toLocal
-        val alpha = rs / math.max(dotAll(pDir, hv), 1e-16)
-        d = scaleAdd(d, pDir, alpha)
-        r = scaleAdd(r, hv, -alpha)
-        val rsNew = frob2(r)
-        pDir = scaleAdd(r, pDir, rsNew / math.max(rs, 1e-16), firstScale = 1.0)
-        rs = rsNew
-        cg += 1
+        // CG solve (X' W X + lambda I) d = -G with Eq. (2) Hessian-vector products
+        var d = MatrixBlock.zeros(m, k1): MatrixBlock
+        var r = scaleAdd(g, g, -2.0) // r = -g
+        var pDir = r
+        var rs = frob2(r)
+        var cg = 0
+        while (cg < innerIter && rs > 1e-16) {
+          val vB = ctx.bindLocal(s"V${iter}_$cg", pDir)
+          val q = P * (X %*% vB)
+          val hvExpr = (X.t %*% (q - P * q.rowSums)) + vB * lambda
+          val hv = ctx.eval(Seq(hvExpr)).head.toLocal
+          val alpha = rs / math.max(dotAll(pDir, hv), 1e-16)
+          d = scaleAdd(d, pDir, alpha)
+          r = scaleAdd(r, hv, -alpha)
+          val rsNew = frob2(r)
+          pDir = scaleAdd(r, pDir, rsNew / math.max(rs, 1e-16), firstScale = 1.0)
+          rs = rsNew
+          cg += 1
+        }
+        b = scaleAdd(b, d, step)
+        iter += 1
       }
-      b = scaleAdd(b, d, step)
-      iter += 1
+      AlgoRun("MLogreg", iter, loss)
+    } finally y1Data match {
+      case DistData(dm) => dm.unpersist()
+      case _            =>
     }
-    AlgoRun("MLogreg", iter, loss)
   }
 
   private def frob2(a: MatrixBlock): Double = {

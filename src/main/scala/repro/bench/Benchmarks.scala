@@ -211,13 +211,14 @@ object Benchmarks {
       val y2 = AlgoData.labels2(x)
       val y01 = MatrixBlock.tabulate(x.rows, 1)((i, _) => if (y2.get(i, 0) > 0) 1.0 else 0.0)
       val yM = AlgoData.labelsOneHot(x, 3)
-      def dx = DistData(DistOps.fromLocal(spark, x, blockSize))
+      // built once per dataset and released after the four algorithms
+      val dx = DistData(DistOps.fromLocal(spark, x, blockSize))
       val nw = math.min(x.rows, 2000)
       val xw = LocalOps.rowSlice(x, 0, nw)
       val y2w = LocalOps.rowSlice(y2, 0, nw); val y01w = LocalOps.rowSlice(y01, 0, nw)
       val yMw = LocalOps.rowSlice(yM, 0, nw)
-      def dxw = DistData(DistOps.fromLocal(spark, xw, blockSize))
-      Seq(
+      val dxw = DistData(DistOps.fromLocal(spark, xw, blockSize))
+      try Seq(
         RuntimeRow("L2SVM", label,
           runAllModes(c => L2SVM.run(c, dx, LocalData(y2), maxIter = 3, maxInnerIter = 5), mkCtx,
             warm = c => L2SVM.run(c, dxw, LocalData(y2w), maxIter = 1, maxInnerIter = 2))),
@@ -230,7 +231,10 @@ object Benchmarks {
         RuntimeRow("KMeans", label,
           runAllModes(c => KMeans.run(c, dx, k = 5, maxIter = 3), mkCtx,
             warm = c => KMeans.run(c, dxw, k = 5, maxIter = 1))),
-      )
+      ) finally {
+        dx.dm.unpersist()
+        dxw.dm.unpersist()
+      }
     }
   }
 }

@@ -1,7 +1,8 @@
 package repro.core
 
 import scala.collection.mutable
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.storage.StorageLevel
 import repro.compiler._
 import repro.dist._
 import repro.runtime._
@@ -127,7 +128,8 @@ final class ExecContext(
   }
   def rebindLocal(m: MX, b: MatrixBlock): MX = rebind(m, LocalData(b))
 
-  /** Distribute a local block (helper for large-scale experiments). */
+  /** Distribute a local block (helper for large-scale experiments); the
+    * result is persisted and the caller releases it via `dm.unpersist()`. */
   def distribute(b: MatrixBlock): DistData =
     DistData(DistOps.fromLocal(spark.getOrElse(sys.error("no SparkSession bound")), b, blockSize))
 
@@ -162,19 +164,43 @@ final class ExecContext(
 
 /** Executes an [[ExecPlan]]: basic operators through the local/distributed
   * kernels, fused operators through CPlan construction + code generation
-  * (with plan cache) and the template skeletons. */
+  * (with plan cache) and the template skeletons.
+  *
+  * A distributed intermediate read by two or more operators of the plan is
+  * persisted for the duration of one `run`, so its lineage is computed
+  * once; every Dataset the run persisted is released when it ends, also
+  * when an operator throws. Leaves belong to their creator and are never
+  * persisted or released here. */
 object Executor {
 
   def run(plan: ExecPlan, roots: Seq[Hop], ctx: ExecContext): Seq[MatrixData] = {
-    val values = mutable.Map[Long, MatrixData]() ++ ctx.bindings
-    plan.ops.foreach(op => executeOp(op, values, ctx))
-    roots.map(r => values.getOrElse(r.id,
-      throw new IllegalStateException(s"root $r not materialized")))
+    val values = mutable.Map[Long, MatrixData]()
+    val consumers = mutable.Map[Long, Int]().withDefaultValue(0)
+    plan.ops.foreach(_.inputs.foreach(h => consumers(h.id) += 1))
+    val rootIds = roots.map(_.id).toSet
+    val persisted = mutable.ArrayBuffer[Dataset[BlockRow]]()
+    try {
+      plan.ops.foreach { op =>
+        executeOp(op, values, ctx)
+        op.outputs.filter(h => consumers(h.id) > 1 && !rootIds(h.id)).foreach { h =>
+          values(h.id) match {
+            // a Dataset that is already cached (a transposed view of a
+            // cached leaf, or a plan Spark's cache manager matches) is not
+            // this run's to persist or release
+            case DistData(dm) if dm.ds.storageLevel == StorageLevel.NONE => persisted += dm.ds.persist()
+            case _ =>
+          }
+        }
+      }
+      roots.map(valueOf(_, values, ctx))
+    } finally persisted.foreach(_.unpersist())
   }
 
-  private def valueOf(h: Hop, values: mutable.Map[Long, MatrixData]): MatrixData = h match {
+  /** Plan intermediates first, then the context's leaf bindings. */
+  private def valueOf(h: Hop, values: mutable.Map[Long, MatrixData], ctx: ExecContext): MatrixData = h match {
     case l: LitHop => LocalData(MatrixBlock.dense(1, 1, Array(l.value)))
-    case _ => values.getOrElse(h.id, throw new IllegalStateException(s"missing input $h"))
+    case _ => values.getOrElse(h.id, ctx.bindings.getOrElse(h.id,
+      throw new IllegalStateException(s"$h not materialized")))
   }
 
   /** Keep distributed only when above the configured memory budget —
@@ -187,7 +213,7 @@ object Executor {
 
   private def executeOp(op: POp, values: mutable.Map[Long, MatrixData], ctx: ExecContext): Unit = op match {
     case PBasic(h) =>
-      values(h.id) = place(h, Basic.execute(h, h.inputs.map(valueOf(_, values)), ctx), ctx)
+      values(h.id) = place(h, Basic.execute(h, h.inputs.map(valueOf(_, values, ctx)), ctx), ctx)
     case PFused(spec) =>
       val t0 = System.nanoTime()
       val cplan = CPlan.construct(spec)
@@ -206,12 +232,12 @@ object Executor {
         values(s.root.id) = LocalData(MatrixBlock.dense(1, 1, Array(res.get(0, k))))
       }
     case h: PHandCoded =>
-      values(h.root.id) = place(h.root, HandCoded.execute(h, h.inputs.map(valueOf(_, values)), ctx), ctx)
+      values(h.root.id) = place(h.root, HandCoded.execute(h, h.inputs.map(valueOf(_, values, ctx)), ctx), ctx)
   }
 
   private def executeFused(spoof: SpoofOperator, cplan: CPlan,
                            values: mutable.Map[Long, MatrixData], ctx: ExecContext): MatrixData = {
-    val datas = cplan.inputs.map(valueOf(_, values))
+    val datas = cplan.inputs.map(valueOf(_, values, ctx))
     datas.head match {
       case LocalData(_) =>
         // all-local execution; small distributed sides are collected

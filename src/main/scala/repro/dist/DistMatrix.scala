@@ -35,7 +35,10 @@ object BlockRow {
 /** Distributed matrix: a Dataset of row blocks plus logical metadata.
   * `transposed` marks a lazy transpose view — only consumable by
   * transpose-aware matrix multiplies (like SystemML's physical operator
-  * selection, which never materializes t(X) feeding a matmult). */
+  * selection, which never materializes t(X) feeding a matmult).
+  * Whoever creates a persisted matrix (see [[DistOps.fromLocal]]) owns it
+  * and calls `unpersist` once it is no longer needed; a transposed view
+  * shares its source's Dataset and is never released on its own. */
 final case class DistMatrix(
     ds: Dataset[BlockRow],
     rows: Long,
@@ -46,6 +49,9 @@ final case class DistMatrix(
 ) {
   def logicalRows: Long = if (transposed) cols else rows
   def logicalCols: Long = if (transposed) rows else cols
+
+  /** Release the cached blocks (non-blocking). */
+  def unpersist(): Unit = ds.unpersist()
 }
 
 /** Distributed basic operators over Dataset[BlockRow] — the runtime of
@@ -58,6 +64,11 @@ object DistOps {
   val doubleArrEnc: Encoder[Array[Double]] = Encoders.javaSerialization[Array[Double]]
   val tupEnc: Encoder[(Int, BlockRow)] = Encoders.product[(Int, BlockRow)]
 
+  /** Reblock a driver-local matrix into a persisted Dataset, the
+    * counterpart of SystemML's checkpoint after reblock: every later
+    * action scans the cached blocks instead of re-shipping the driver's
+    * copy and re-running the repartition shuffle. The caller owns the
+    * result and releases it with [[DistMatrix.unpersist]]. */
   def fromLocal(spark: SparkSession, m: MatrixBlock, blockSize: Int): DistMatrix = {
     val nBlocks = ((m.rows + blockSize - 1) / blockSize).toInt
     val blocks = (0 until nBlocks).map { rbi =>
@@ -65,7 +76,7 @@ object DistOps {
       val to = math.min(m.rows, from + blockSize)
       BlockRow(rbi, LocalOps.rowSlice(m, from.toInt, to.toInt))
     }
-    DistMatrix(spark.createDataset(blocks)(blockRowEnc).repartition(math.min(nBlocks, 64)),
+    DistMatrix(spark.createDataset(blocks)(blockRowEnc).repartition(math.min(nBlocks, 64)).persist(),
       m.rows, m.cols, blockSize, m.sparsity)
   }
 

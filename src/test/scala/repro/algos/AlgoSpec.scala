@@ -77,23 +77,38 @@ class AlgoSpec extends SparkSpec {
 
   test("distributed L2SVM equals local (Gen + Base)") {
     val cfg = CostConfig(localMemBudget = 8L << 10, distLatencyS = 0.0)
-    for (mode <- Seq(BaseMode, FusedMode, GenMode(CostBased))) {
-      val dCtx = new ExecContext(mode, cfg, Some(spark), 64)
-      val dist = DistOps.fromLocal(spark, x2, 64)
-      val dRun = L2SVM.run(dCtx, DistData(dist), LocalData(y2), maxIter = 3)
-      val lRun = L2SVM.run(new ExecContext(BaseMode), LocalData(x2), LocalData(y2), maxIter = 3)
-      assert(math.abs(dRun.loss - lRun.loss) <= 1e-5 * math.max(1.0, lRun.loss),
-        s"mode=${mode.label}: ${dRun.loss} vs ${lRun.loss}")
+    val lRun = L2SVM.run(new ExecContext(BaseMode), LocalData(x2), LocalData(y2), maxIter = 3)
+    withDist(DistOps.fromLocal(spark, x2, 64)) { dist =>
+      for (mode <- Seq(BaseMode, FusedMode, GenMode(CostBased))) {
+        val dCtx = new ExecContext(mode, cfg, Some(spark), 64)
+        val dRun = L2SVM.run(dCtx, DistData(dist), LocalData(y2), maxIter = 3)
+        assert(math.abs(dRun.loss - lRun.loss) <= 1e-5 * math.max(1.0, lRun.loss),
+          s"mode=${mode.label}: ${dRun.loss} vs ${lRun.loss}")
+      }
     }
   }
 
   test("distributed KMeans equals local (Gen)") {
     val cfg = CostConfig(localMemBudget = 8L << 10, distLatencyS = 0.0)
     val dCtx = new ExecContext(GenMode(CostBased), cfg, Some(spark), 64)
-    val dist = DistOps.fromLocal(spark, x2, 64)
-    val dRun = KMeans.run(dCtx, DistData(dist), k = 4, maxIter = 3)
+    val dRun = withDist(DistOps.fromLocal(spark, x2, 64))(dist => KMeans.run(dCtx, DistData(dist), k = 4, maxIter = 3))
     val lRun = KMeans.run(new ExecContext(BaseMode), LocalData(x2), k = 4, maxIter = 3)
     assert(math.abs(dRun.loss - lRun.loss) <= 1e-5 * math.max(1.0, lRun.loss))
+  }
+
+  test("distributed MLogreg equals local; the Y1 it distributes is released") {
+    // X %*% B (300 x 2, 4.8 KB) and exp(X %*% B) stay distributed
+    val cfg = CostConfig(localMemBudget = 4L << 10, distLatencyS = 0.0)
+    val lRun = MLogreg.run(new ExecContext(BaseMode), LocalData(x2), LocalData(yMulti), maxIter = 2, innerIter = 2)
+    for (mode <- Seq(BaseMode, FusedMode, GenMode(CostBased))) {
+      val dCtx = new ExecContext(mode, cfg, Some(spark), 64)
+      val dRun = withDist(DistOps.fromLocal(spark, x2, 64)) { dist =>
+        MLogreg.run(dCtx, DistData(dist), LocalData(yMulti), maxIter = 2, innerIter = 2)
+      }
+      assert(math.abs(dRun.loss - lRun.loss) <= 1e-4 * math.max(1.0, lRun.loss),
+        s"mode=${mode.label}: ${dRun.loss} vs ${lRun.loss}")
+      assert(SparkSpec.noCachedData(spark), s"${mode.label} left distributed data cached")
+    }
   }
 
   test("data generators are deterministic") {

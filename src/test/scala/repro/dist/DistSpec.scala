@@ -1,5 +1,9 @@
 package repro.dist
 
+import java.util.concurrent.{ConcurrentHashMap, CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
+import org.apache.spark.scheduler._
+import org.apache.spark.storage.StorageLevel
 import repro.{SparkSpec, TestLA}
 import repro.compiler._
 import repro.core._
@@ -7,87 +11,142 @@ import repro.runtime._
 import repro.runtime.Ops._
 
 /** Distributed runtime: basic Dataset[BlockRow] operators against local
-  * kernels, and fused distributed execution (mapGroups over row blocks)
-  * against local fused execution. */
+  * kernels, fused distributed execution (map/mapGroups over row blocks)
+  * against local fused execution, and the lifetimes of cached data. */
 class DistSpec extends SparkSpec {
 
   private val blockSize = 32
-  private def distCtx(mode: ExecMode = GenMode(CostBased)) =
-    new ExecContext(mode, CostConfig(localMemBudget = 4L << 10, distLatencyS = 0.0),
+  private def distCtx(mode: ExecMode = GenMode(CostBased), budget: Long = 4L << 10) =
+    new ExecContext(mode, CostConfig(localMemBudget = budget, distLatencyS = 0.0),
       Some(spark), blockSize)
+  private def dist(m: MatrixBlock): DistMatrix = DistOps.fromLocal(spark, m, blockSize)
 
   private val xDense  = MatrixBlock.rand(100, 12, 1.0, 1, min = -1, max = 1)
   private val xSparse = MatrixBlock.rand(100, 12, 0.2, 2, min = -1, max = 1)
 
+  import DistSpec.Observed
+
+  private def observe[A](f: => A): (A, Observed) = {
+    val sc = spark.sparkContext
+    val bytes = new AtomicLong
+    val cached = ConcurrentHashMap.newKeySet[Int]()
+    val unpersisted = ConcurrentHashMap.newKeySet[Int]()
+    val markerJob = new AtomicInteger(-1)
+    val drained = new CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onStageCompleted(e: SparkListenerStageCompleted): Unit =
+        Option(e.stageInfo.taskMetrics).foreach(m => bytes.addAndGet(m.shuffleWriteMetrics.bytesWritten))
+      override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit =
+        e.stageInfo.rddInfos.filter(_.storageLevel.isValid).foreach(r => cached.add(r.id))
+      // the context cleaner also reports RDDs released long ago once they
+      // are garbage collected; only caches read while `f` ran count
+      override def onUnpersistRDD(e: SparkListenerUnpersistRDD): Unit = unpersisted.add(e.rddId)
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (e.properties != null && e.properties.getProperty("spark.job.description") == "drain")
+          markerJob.set(e.jobId)
+      override def onJobEnd(e: SparkListenerJobEnd): Unit =
+        if (e.jobId == markerJob.get) drained.countDown()
+    }
+    sc.addSparkListener(listener)
+    try {
+      val res = f
+      // a listener sees events in posting order: once the marker job has
+      // ended, every event `f` caused has been delivered
+      sc.setJobDescription("drain")
+      try sc.parallelize(Seq(1), 1).count() finally sc.setJobDescription(null)
+      assert(drained.await(60, TimeUnit.SECONDS), "listener bus did not drain")
+      unpersisted.retainAll(cached)
+      (res, Observed(bytes.get, unpersisted.size))
+    } finally sc.removeSparkListener(listener)
+  }
+
   test("fromLocal/toLocal round trip (dense, sparse, odd block boundary)") {
-    for (m <- Seq(xDense, xSparse, MatrixBlock.rand(97, 5, 1.0, 3))) {
-      val dm = DistOps.fromLocal(spark, m, blockSize)
+    for (m <- Seq(xDense, xSparse, MatrixBlock.rand(97, 5, 1.0, 3))) withDist(dist(m)) { dm =>
       assert(MatrixBlock.maxAbsDiff(DistOps.toLocal(dm), m) == 0.0)
     }
   }
+  test("fromLocal persists X: a second action over it writes no shuffle bytes") {
+    withDist(dist(xDense)) { dm =>
+      assert(dm.ds.storageLevel != StorageLevel.NONE)
+      // the first action runs the reblock's repartition shuffle and fills the cache
+      assert(observe(DistOps.toLocal(dm))._2.shuffleBytes > 0)
+      assert(observe(DistOps.toLocal(dm))._2.shuffleBytes == 0)
+    }
+  }
   test("distributed unary") {
-    val dm = DistOps.fromLocal(spark, xDense, blockSize)
-    val got = DistOps.toLocal(DistOps.unary(Sigmoid, dm))
-    assert(MatrixBlock.maxAbsDiff(got, LocalOps.unary(Sigmoid, xDense)) < 1e-12)
+    withDist(dist(xDense)) { dm =>
+      val got = DistOps.toLocal(DistOps.unary(Sigmoid, dm))
+      assert(MatrixBlock.maxAbsDiff(got, LocalOps.unary(Sigmoid, xDense)) < 1e-12)
+    }
   }
   test("distributed binary dist-dist") {
-    val a = DistOps.fromLocal(spark, xDense, blockSize)
-    val b = DistOps.fromLocal(spark, xSparse, blockSize)
-    val got = DistOps.toLocal(DistOps.binaryDistDist(Plus, a, b))
-    assert(MatrixBlock.maxAbsDiff(got, LocalOps.binary(Plus, xDense, xSparse)) < 1e-12)
+    withDist(dist(xDense)) { a =>
+      withDist(dist(xSparse)) { b =>
+        val got = DistOps.toLocal(DistOps.binaryDistDist(Plus, a, b))
+        assert(MatrixBlock.maxAbsDiff(got, LocalOps.binary(Plus, xDense, xSparse)) < 1e-12)
+      }
+    }
   }
   test("distributed binary with broadcast row vector and sliced column vector") {
-    val a = DistOps.fromLocal(spark, xDense, blockSize)
-    val rv = MatrixBlock.rand(1, 12, 1.0, 4)
-    val cv = MatrixBlock.rand(100, 1, 1.0, 5)
-    assert(MatrixBlock.maxAbsDiff(
-      DistOps.toLocal(DistOps.binaryDistLocal(Mult, a, rv)),
-      LocalOps.binary(Mult, xDense, rv)) < 1e-12)
-    assert(MatrixBlock.maxAbsDiff(
-      DistOps.toLocal(DistOps.binaryDistLocal(Plus, a, cv)),
-      LocalOps.binary(Plus, xDense, cv)) < 1e-12)
+    withDist(dist(xDense)) { a =>
+      val rv = MatrixBlock.rand(1, 12, 1.0, 4)
+      val cv = MatrixBlock.rand(100, 1, 1.0, 5)
+      assert(MatrixBlock.maxAbsDiff(
+        DistOps.toLocal(DistOps.binaryDistLocal(Mult, a, rv)),
+        LocalOps.binary(Mult, xDense, rv)) < 1e-12)
+      assert(MatrixBlock.maxAbsDiff(
+        DistOps.toLocal(DistOps.binaryDistLocal(Plus, a, cv)),
+        LocalOps.binary(Plus, xDense, cv)) < 1e-12)
+    }
   }
   test("distributed matmul with broadcast rhs") {
-    val a = DistOps.fromLocal(spark, xDense, blockSize)
-    val w = MatrixBlock.rand(12, 4, 1.0, 6, min = -1, max = 1)
-    val got = DistOps.toLocal(DistOps.matmulDistLocal(a, w))
-    assert(MatrixBlock.maxAbsDiff(got, LocalOps.matmul(xDense, w)) < 1e-9)
+    withDist(dist(xDense)) { a =>
+      val w = MatrixBlock.rand(12, 4, 1.0, 6, min = -1, max = 1)
+      val got = DistOps.toLocal(DistOps.matmulDistLocal(a, w))
+      assert(MatrixBlock.maxAbsDiff(got, LocalOps.matmul(xDense, w)) < 1e-9)
+    }
   }
   test("distributed t(X) %*% Z, Z distributed") {
-    val a = DistOps.fromLocal(spark, xDense, blockSize)
     val zL = MatrixBlock.rand(100, 3, 1.0, 7, min = -1, max = 1)
-    val z = DistOps.fromLocal(spark, zL, blockSize)
-    val got = DistOps.matmulTransposeLeft(a, Left(z))
-    val expect = LocalOps.matmul(LocalOps.transpose(xDense), zL)
-    assert(MatrixBlock.maxAbsDiff(got, expect) < 1e-9)
+    withDist(dist(xDense)) { a =>
+      withDist(dist(zL)) { z =>
+        val got = DistOps.matmulTransposeLeft(a, Left(z))
+        val expect = LocalOps.matmul(LocalOps.transpose(xDense), zL)
+        assert(MatrixBlock.maxAbsDiff(got, expect) < 1e-9)
+      }
+    }
   }
   test("distributed t(X) %*% Z, Z local broadcast") {
-    val a = DistOps.fromLocal(spark, xSparse, blockSize)
-    val zL = MatrixBlock.rand(100, 3, 1.0, 8, min = -1, max = 1)
-    val got = DistOps.matmulTransposeLeft(a, Right(zL))
-    val expect = LocalOps.matmul(LocalOps.transpose(xSparse), zL)
-    assert(MatrixBlock.maxAbsDiff(got, expect) < 1e-9)
+    withDist(dist(xSparse)) { a =>
+      val zL = MatrixBlock.rand(100, 3, 1.0, 8, min = -1, max = 1)
+      val got = DistOps.matmulTransposeLeft(a, Right(zL))
+      val expect = LocalOps.matmul(LocalOps.transpose(xSparse), zL)
+      assert(MatrixBlock.maxAbsDiff(got, expect) < 1e-9)
+    }
   }
   test("distributed aggregations (full/col/row, sum/min/max)") {
-    val a = DistOps.fromLocal(spark, xDense, blockSize)
-    for (f <- Seq(SumAgg, MinAgg, MaxAgg)) {
-      assert(MatrixBlock.maxAbsDiff(DistOps.fullAgg(f, a), LocalOps.agg(f, FullDir, xDense)) < 1e-9)
-      assert(MatrixBlock.maxAbsDiff(DistOps.colAgg(f, a), LocalOps.agg(f, ColDir, xDense)) < 1e-9)
-      assert(MatrixBlock.maxAbsDiff(DistOps.toLocal(DistOps.rowAgg(f, a)), LocalOps.agg(f, RowDir, xDense)) < 1e-9)
+    withDist(dist(xDense)) { a =>
+      for (f <- Seq(SumAgg, MinAgg, MaxAgg)) {
+        assert(MatrixBlock.maxAbsDiff(DistOps.fullAgg(f, a), LocalOps.agg(f, FullDir, xDense)) < 1e-9)
+        assert(MatrixBlock.maxAbsDiff(DistOps.colAgg(f, a), LocalOps.agg(f, ColDir, xDense)) < 1e-9)
+        assert(MatrixBlock.maxAbsDiff(DistOps.toLocal(DistOps.rowAgg(f, a)), LocalOps.agg(f, RowDir, xDense)) < 1e-9)
+      }
     }
   }
 
   /** Full pipeline over a distributed X vs the same pipeline local. */
   private def distVsLocal(tol: Double = 1e-9)(build: (ExecContext, MX) => Seq[MX]): Unit = {
-    for (x0 <- Seq(xDense, xSparse); mode <- TestLA.allModes) {
-      val dCtx = distCtx(mode)
-      val dx = dCtx.bindDist("X", DistOps.fromLocal(spark, x0, blockSize))
-      val dRes = dCtx.eval(build(dCtx, dx)).map(_.toLocal)
-      val lCtx = new ExecContext(BaseMode)
-      val lx = lCtx.bindLocal("X", x0)
-      val lRes = lCtx.eval(build(lCtx, lx)).map(_.toLocal)
-      dRes.zip(lRes).foreach { case (d, l) =>
-        assert(MatrixBlock.maxAbsDiff(d, l) < tol, s"mode=${mode.label} dense=${!x0.isSparseFormat}")
+    for (x0 <- Seq(xDense, xSparse)) withDist(dist(x0)) { dm =>
+      for (mode <- TestLA.allModes) {
+        val dCtx = distCtx(mode)
+        val dx = dCtx.bindDist("X", dm)
+        val dRes = dCtx.eval(build(dCtx, dx)).map(_.toLocal)
+        val lCtx = new ExecContext(BaseMode)
+        val lx = lCtx.bindLocal("X", x0)
+        val lRes = lCtx.eval(build(lCtx, lx)).map(_.toLocal)
+        dRes.zip(lRes).foreach { case (d, l) =>
+          assert(MatrixBlock.maxAbsDiff(d, l) < tol, s"mode=${mode.label} dense=${!x0.isSparseFormat}")
+        }
       }
     }
   }
@@ -133,9 +192,9 @@ class DistSpec extends SparkSpec {
       lCtx.eval(Seq((x.neq0 * (u %*% v.t)) %*% v, (x * ((u %*% v.t) + 8.0).log).sum)).map(_.toLocal)
     }
     val dCtx = distCtx()
-    val got = {
+    val got = withDist(dist(x0)) { dm =>
       implicit val c: ExecContext = dCtx
-      val x = dCtx.bindDist("X", DistOps.fromLocal(spark, x0, blockSize))
+      val x = dCtx.bindDist("X", dm)
       val u = dCtx.bindLocal("U", u0); val v = dCtx.bindLocal("V", v0)
       dCtx.eval(Seq((x.neq0 * (u %*% v.t)) %*% v, (x * ((u %*% v.t) + 8.0).log).sum)).map(_.toLocal)
     }
@@ -144,8 +203,82 @@ class DistSpec extends SparkSpec {
   test("distributed plans actually use distributed fused operators") {
     val dCtx = distCtx()
     implicit val c: ExecContext = dCtx
-    val x = dCtx.bindDist("X", DistOps.fromLocal(spark, xDense, blockSize))
-    val plan = dCtx.compilePlan(Seq(((x * 2.0) ^ 2.0).sum.hop))
-    assert(plan.fusedOps.nonEmpty, plan.toString)
+    withDist(dist(xDense)) { dm =>
+      val x = dCtx.bindDist("X", dm)
+      val plan = dCtx.compilePlan(Seq(((x * 2.0) ^ 2.0).sum.hop))
+      assert(plan.fusedOps.nonEmpty, plan.toString)
+    }
   }
+
+  // ---- lifetimes of cached data ---------------------------------------
+
+  /** KMeans' distance/assignment DAG, with `X %*% t(C)` (returned first)
+    * read by two operators. */
+  private def kmeansShaped(ctx: ExecContext, x: MX): (MX, Seq[MX]) = {
+    implicit val c: ExecContext = ctx
+    val cm = ctx.bindLocal("C", MatrixBlock.rand(5, 12, 1.0, 17, min = -1, max = 1))
+    val xc = x %*% cm.t
+    val d = xc * -2.0 + ((cm ^ 2.0).rowSums).t
+    val minD = d.rowMins
+    val a = d.eqv(minD)
+    (xc, Seq(a.colSums, a.t %*% x, minD.sum + xc.sum))
+  }
+
+  test("shared distributed X %*% t(C) is cached for one eval; all modes match Base") {
+    val budget = 2L << 10 // X %*% t(C) (100 x 5, 4 KB) stays distributed
+    val expect = {
+      val ctx = new ExecContext(BaseMode)
+      ctx.eval(kmeansShaped(ctx, ctx.bindLocal("X", xDense))._2).map(_.toLocal)
+    }
+    for (mode <- TestLA.allModes) {
+      withDist(dist(xDense)) { dm =>
+        val ctx = distCtx(mode, budget)
+        val (xc, roots) = kmeansShaped(ctx, ctx.bindDist("X", dm))
+        val (got, seen) = observe(ctx.eval(roots).map(_.toLocal))
+        got.zip(expect).foreach { case (g, e) => assert(MatrixBlock.maxAbsDiff(g, e) < 1e-8, mode.label) }
+        if (mode == BaseMode) {
+          assert(CostModel.isDistributedHop(xc.hop, ctx.cfg))
+          assert(ctx.compilePlan(roots.map(_.hop)).ops.count(_.inputs.exists(_ eq xc.hop)) == 2)
+          assert(seen.releasedCaches >= 1, "no shared intermediate was cached and released")
+        }
+        assert(dm.ds.storageLevel != StorageLevel.NONE, s"${mode.label} released the leaf")
+      }
+      // with the leaf released nothing is left: only the leaf was cached
+      assert(SparkSpec.noCachedData(spark), s"${mode.label} left intermediates cached")
+    }
+  }
+  test("an eval over t(X) leaves the leaf X cached (all modes)") {
+    withDist(dist(xDense)) { dm =>
+      for (mode <- TestLA.allModes) {
+        val ctx = distCtx(mode)
+        implicit val c: ExecContext = ctx
+        // t(X) shares X's Dataset and is read twice
+        val xt = ctx.bindDist("X", dm).t
+        val a = ctx.bindLocal("a", MatrixBlock.rand(100, 1, 1.0, 18))
+        val b = ctx.bindLocal("b", MatrixBlock.rand(100, 1, 1.0, 19))
+        ctx.eval(Seq(xt %*% a, xt %*% b))
+        assert(dm.ds.storageLevel != StorageLevel.NONE, mode.label)
+      }
+    }
+  }
+  test("an eval that throws mid-plan leaves no intermediate cached") {
+    withDist(dist(xDense)) { dm =>
+      val ctx = distCtx(BaseMode)
+      implicit val c: ExecContext = ctx
+      // X %*% W (100 x 8, 6.4 KB) stays distributed and is read twice; the
+      // sum runs first and fills its cache, then distributed row slicing throws
+      val xw = ctx.bindDist("X", dm) %*% ctx.bindLocal("W", MatrixBlock.rand(12, 8, 1.0, 20))
+      val (_, seen) = observe(intercept[UnsupportedOperationException](ctx.eval(Seq(xw.sum, xw.sliceRows(0, 10)))))
+      assert(seen.releasedCaches == 1)
+      assert(dm.ds.storageLevel != StorageLevel.NONE)
+      assert(spark.sparkContext.getPersistentRDDs.size == 1)
+    }
+    assert(SparkSpec.noCachedData(spark))
+  }
+}
+
+object DistSpec {
+  /** What the listener bus reported while a block of code ran: shuffle
+    * bytes written, and cached RDDs that were read and then released. */
+  final case class Observed(shuffleBytes: Long, releasedCaches: Int)
 }
