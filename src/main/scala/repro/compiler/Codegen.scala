@@ -35,10 +35,10 @@ object CodegenStats {
   * janino is not available offline). Generated classes only override the
   * template's `genexec`; data access, multi-threading and aggregation
   * live in the hand-coded skeletons ([[repro.runtime.SpoofCellwise]] et
-  * al.). A closure-based interpreter serves as fallback when no system
-  * compiler exists. The plan cache identifies equivalent CPlans via
-  * structural keys to avoid re-compilation across DAGs and dynamic
-  * recompilation (paper §2.1, §5.3).
+  * al.). javac is the only backend; a JVM without a system compiler is an
+  * error. The plan cache identifies equivalent CPlans via structural keys
+  * to avoid re-compilation across DAGs and dynamic recompilation (paper
+  * §2.1, §5.3).
   */
 object Codegen {
 
@@ -46,10 +46,6 @@ object Codegen {
 
   def cacheSize: Int = planCache.size
   def clearCache(): Unit = planCache.clear()
-
-  /** Force the closure fallback (tests / environments without a JDK). */
-  @volatile var forceClosureBackend: Boolean = false
-  def javaBackendActive: Boolean = !forceClosureBackend && JavaBackend.available
 
   def compile(cplan: CPlan): SpoofOperator = {
     val key = cplan.structuralKey
@@ -151,6 +147,13 @@ object Codegen {
     }
   }
 
+  /** Compile eagerly (inside `compile`'s timer); instances are created
+    * per thread by [[ExecRef.get]]. */
+  private def compiled[T <: AnyRef](name: String, source: String): ExecRef[T] = {
+    JavaBackend.compileClass(name, source)
+    ExecRef[T](name, source)
+  }
+
   private def header(name: String, parent: String): String =
     s"""package repro.codegen;
        |import repro.runtime.MatrixBlock;
@@ -161,15 +164,13 @@ object Codegen {
   // ---------------------------------------------------------------- Cell
 
   private def cellExec(name: String, cplan: CPlan, chainRoot: Hop): ExecRef[CellExec] = {
-    if (!javaBackendActive)
-      return ExecRef.direct(new FnCellExec(cellFn(chainRoot, cplan)))
     val src = new Src
     val root = emitCell(chainRoot, cplan, src)
     val source = header(name, "CellExec") +
       "  public double genexec(double a, MatrixBlock[] b, int rix, int cix) {\n" +
       src.body.toString +
       s"    return $root;\n  }\n}\n"
-    ExecRef.compiled(JavaBackend.instance(name, source).asInstanceOf[CellExec], name, source)
+    compiled(name, source)
   }
 
   /** Emit SSA-style Java for a cell chain; returns the value expression. */
@@ -218,7 +219,6 @@ object Codegen {
 
   private def compileRow(name: String, cplan: CPlan): SpoofRowwise = {
     val variant = cplan.rowVariant.get
-    if (!javaBackendActive) return compileRowClosure(name, cplan, variant)
     val root = cplan.root
 
     val allFields = new StringBuilder
@@ -274,8 +274,7 @@ object Codegen {
         vecMethod("genexecVec2", m.left) + vecMethod("genexecVec", m.right)
     }
     val source = header(name, "RowExec") + allFields.toString + methods + "}\n"
-    val exec = ExecRef.compiled(JavaBackend.instance(name, source).asInstanceOf[RowExec], name, source)
-    new SpoofRowwise(name, variant, exec)
+    new SpoofRowwise(name, variant, compiled(name, source))
   }
 
   /** Emit a Row-chain node; Left(var) = vector, Right(expr) = scalar. */
@@ -414,24 +413,18 @@ object Codegen {
     val opening = CPlan.coveredHops(chainRoot, cplan.covered)
       .collectFirst { case m: MatMulHop if TemplateType.isOuterMatMul(m) => m }
       .getOrElse(throw new IllegalStateException("Outer plan without opening matmult"))
-    val rank = opening.left.cols.toInt
-
-    if (!javaBackendActive)
-      return new SpoofOuterProduct(name, variant, wIdx,
-        ExecRef.direct(new FnOuterExec(outerFn(chainRoot, cplan, opening, rank))))
 
     val src = new Src
     src.line("int R_ = b[2].cols();") // rank, read from V at runtime
-    val root = emitOuter(chainRoot, cplan, opening, rank, src)
+    val root = emitOuter(chainRoot, cplan, opening, src)
     val source = header(name, "OuterExec") +
       "  public double genexec(double x, double[] u, double[] v, MatrixBlock[] b, int rix, int cix) {\n" +
       src.body.toString +
       s"    return $root;\n  }\n}\n"
-    new SpoofOuterProduct(name, variant, wIdx,
-      ExecRef.compiled(JavaBackend.instance(name, source).asInstanceOf[OuterExec], name, source))
+    new SpoofOuterProduct(name, variant, wIdx, compiled(name, source))
   }
 
-  private def emitOuter(h: Hop, cplan: CPlan, opening: MatMulHop, rank: Int, src: Src): String = {
+  private def emitOuter(h: Hop, cplan: CPlan, opening: MatMulHop, src: Src): String = {
     val main = cplan.inputs(0)
     if (h eq main) return "x"
     src.memo.get(h.id).foreach(return _)
@@ -448,176 +441,15 @@ object Codegen {
         t
       }
       else h match {
-        case u: UnaryHop  => unaryJava(u.op, emitOuter(u.in, cplan, opening, rank, src))
+        case u: UnaryHop  => unaryJava(u.op, emitOuter(u.in, cplan, opening, src))
         case bn: BinaryHop =>
           binaryJava(bn.op,
-            emitOuter(bn.left, cplan, opening, rank, src),
-            emitOuter(bn.right, cplan, opening, rank, src))
-        case t: TransposeHop => emitOuter(t.in, cplan, opening, rank, src)
+            emitOuter(bn.left, cplan, opening, src),
+            emitOuter(bn.right, cplan, opening, src))
+        case t: TransposeHop => emitOuter(t.in, cplan, opening, src)
         case _ => throw new IllegalStateException(s"unsupported hop in Outer chain: $h")
       }
     src.memo(h.id) = v
     v
-  }
-
-  // ------------------------------------------- closure fallback backend
-
-  private def cellFn(h: Hop, cplan: CPlan): (Double, Array[MatrixBlock], Int, Int) => Double = {
-    val main = cplan.inputs(0)
-    if (h eq main) { (a, _, _, _) => a }
-    else if (!cplan.covered.contains(h.id)) {
-      val idx = inputIndex(h, cplan)
-      (_, in, i, j) => Spoof.getValue(in(idx), i, j)
-    }
-    else h match {
-      case u: UnaryHop =>
-        val f = cellFn(u.in, cplan)
-        val op = u.op
-        (a, in, i, j) => op(f(a, in, i, j))
-      case b: BinaryHop =>
-        val fl = cellFn(b.left, cplan)
-        val fr = cellFn(b.right, cplan)
-        val op = b.op
-        (a, in, i, j) => op(fl(a, in, i, j), fr(a, in, i, j))
-      case _ =>
-        throw new IllegalStateException(s"unsupported hop in Cell chain: $h")
-    }
-  }
-
-  private def compileRowClosure(name: String, cplan: CPlan, variant: RowVariant): SpoofRowwise = {
-    type F = (Array[Double], Array[MatrixBlock], Int) => AnyRef
-    val root = cplan.root
-    def vec(f: F): (Array[Double], Array[MatrixBlock], Int) => Array[Double] =
-      (a, b, i) => f(a, b, i) match {
-        case arr: Array[Double]  => arr
-        case d: java.lang.Double => Array(d.doubleValue())
-      }
-    def scalar(f: F, agg: Option[AggFunc]): (Array[Double], Array[MatrixBlock], Int) => Double =
-      (a, b, i) => f(a, b, i) match {
-        case arr: Array[Double]  => VectorPrims.vectAgg(agg.getOrElse(SumAgg), arr)
-        case d: java.lang.Double => d.doubleValue()
-      }
-    val exec: RowExec = variant match {
-      case RowNoAgg   => new FnRowExec(vec(rowFn(root, cplan)), null, null)
-      case RowColAgg  => new FnRowExec(vec(rowFn(root.asInstanceOf[AggHop].in, cplan)), null, null)
-      case RowFullAgg => new FnRowExec(null, scalar(rowFn(root.asInstanceOf[AggHop].in, cplan), Some(SumAgg)), null)
-      case RowRowAgg =>
-        val (in, func) = root match {
-          case a: AggHop => (a.in, Some(a.func))
-          case h         => (h, None)
-        }
-        new FnRowExec(null, scalar(rowFn(in, cplan), func), null)
-      case RowColAggT =>
-        val m = root.asInstanceOf[MatMulHop]
-        new FnRowExec(vec(rowFn(m.right, cplan)), null, vec(rowFnVecX(m.left, cplan)))
-    }
-    new SpoofRowwise(name, variant, ExecRef.direct(exec))
-  }
-
-  /** x-side of COL_AGG_B1_T in the closure backend: handles a materialized
-    * transpose side via column extraction. */
-  private def rowFnVecX(h: Hop, cplan: CPlan): (Array[Double], Array[MatrixBlock], Int) => AnyRef = {
-    if (!cplan.covered.contains(h.id) && h.rows != cplan.rowDim && h.rows != 1) {
-      val idx = inputIndex(h, cplan)
-      val len = h.rows.toInt
-      (_, in, i) => {
-        val out = new Array[Double](len)
-        var r = 0
-        while (r < len) { out(r) = in(idx).get(r, i); r += 1 }
-        out
-      }
-    } else rowFn(h, cplan)
-  }
-
-  private def rowFn(h: Hop, cplan: CPlan): (Array[Double], Array[MatrixBlock], Int) => AnyRef = {
-    val main = cplan.inputs(0)
-    val rowDim = cplan.rowDim
-    if (h eq main) { (row, _, _) => row }
-    else if (!cplan.covered.contains(h.id)) {
-        val idx = inputIndex(h, cplan)
-        if (h.rows == 1 && h.cols == 1) { (_, in, _) => java.lang.Double.valueOf(in(idx).get(0, 0)) }
-        else if (h.rows == rowDim && h.cols == 1) { (_, in, i) => java.lang.Double.valueOf(in(idx).get(i, 0)) }
-        else if (h.rows == 1) { (_, in, _) => in(idx).denseRow(0) }
-        else if (h.rows == rowDim) { (_, in, i) => in(idx).denseRow(i) }
-        else throw new IllegalStateException(s"non row-aligned side input in Row chain: $h")
-    }
-    else h match {
-      case u: UnaryHop =>
-        val f = rowFn(u.in, cplan)
-        val op = u.op
-        (row, in, i) => f(row, in, i) match {
-          case arr: Array[Double]  => VectorPrims.vectUnaryWrite(op, arr)
-          case d: java.lang.Double => java.lang.Double.valueOf(op(d.doubleValue()))
-        }
-      case b: BinaryHop =>
-        val fl = rowFn(b.left, cplan)
-        val fr = rowFn(b.right, cplan)
-        val op = b.op
-        (row, in, i) => (fl(row, in, i), fr(row, in, i)) match {
-          case (l: Array[Double], r: Array[Double]) =>
-            if (l.length == r.length) VectorPrims.vectBinaryWrite(op, l, r)
-            else if (r.length == 1) VectorPrims.vectScalarWrite(op, l, r(0))
-            else VectorPrims.scalarVectWrite(op, l(0), r)
-          case (l: Array[Double], r: java.lang.Double) => VectorPrims.vectScalarWrite(op, l, r.doubleValue())
-          case (l: java.lang.Double, r: Array[Double]) => VectorPrims.scalarVectWrite(op, l.doubleValue(), r)
-          case (l: java.lang.Double, r: java.lang.Double) => java.lang.Double.valueOf(op(l.doubleValue(), r.doubleValue()))
-          case _ => throw new IllegalStateException("unexpected row value types")
-        }
-      case a: AggHop if a.dir == RowDir =>
-        val f = rowFn(a.in, cplan)
-        val func = a.func
-        (row, in, i) => f(row, in, i) match {
-          case arr: Array[Double]  => java.lang.Double.valueOf(VectorPrims.vectAgg(func, arr))
-          case d: java.lang.Double => d
-        }
-      case m: MatMulHop if !TemplateType.isTransposeLeftMatMul(m) =>
-        val fl = rowFn(m.left, cplan)
-        val widx = inputIndex(m.right, cplan)
-        val kCols = m.right.cols.toInt
-        if (kCols == 1)
-          (row, in, i) => fl(row, in, i) match {
-            case arr: Array[Double] =>
-              java.lang.Double.valueOf(VectorPrims.dotProduct(arr, in(widx).toDense.values, 0, 0, arr.length))
-            case d: java.lang.Double =>
-              java.lang.Double.valueOf(d.doubleValue() * in(widx).get(0, 0))
-          }
-        else
-          (row, in, i) => {
-            val arr = fl(row, in, i).asInstanceOf[Array[Double]]
-            VectorPrims.vectMatMult(arr, in(widx).toDense.values, 0, arr.length, kCols)
-          }
-      case t: TransposeHop =>
-        rowFn(t.in, cplan)
-      case _ =>
-        throw new IllegalStateException(s"unsupported hop in Row chain: $h")
-    }
-  }
-
-  private def outerFn(h: Hop, cplan: CPlan, opening: MatMulHop, rank: Int)
-    : (Double, Array[Double], Array[Double], Array[MatrixBlock], Int, Int) => Double = {
-    val main = cplan.inputs(0)
-    if (h eq main) { (x, _, _, _, _, _) => x }
-    else if (h eq opening) {
-      (_, u, v, _, i, j) => VectorPrims.dotProduct(u, v, i * rank, j * rank, rank)
-    }
-    else if (!cplan.covered.contains(h.id)) {
-      val idx = inputIndex(h, cplan)
-      (_, _, _, in, i, j) => Spoof.getValue(in(idx), i, j)
-    }
-    else h match {
-      case u: UnaryHop =>
-        val f = outerFn(u.in, cplan, opening, rank)
-        val op = u.op
-        (x, uv, vv, in, i, j) => op(f(x, uv, vv, in, i, j))
-      case b: BinaryHop =>
-        val fl = outerFn(b.left, cplan, opening, rank)
-        val fr = outerFn(b.right, cplan, opening, rank)
-        val op = b.op
-        (x, uv, vv, in, i, j) => op(fl(x, uv, vv, in, i, j), fr(x, uv, vv, in, i, j))
-      case t: TransposeHop =>
-        outerFn(t.in, cplan, opening, rank)
-      case _ =>
-        throw new IllegalStateException(s"unsupported hop in Outer chain: $h")
-    }
   }
 }

@@ -245,13 +245,7 @@ object Executor {
           case LocalData(b) => b
           case DistData(dm) => DistOps.toLocal(dm)
         }
-        val out = spoof match {
-          case m: SpoofMultiAgg => m.executeSingle(blocks)
-          case c: SpoofCellwise => c.executeSingle(blocks)
-          case r: SpoofRowwise  => r.executeSingle(blocks)
-          case o: SpoofOuterProduct => o.executeSingle(blocks)
-        }
-        LocalData(out)
+        LocalData(spoof.execute(blocks))
       case DistData(_) =>
         val eithers = datas.map {
           case DistData(dm)  => Left(dm)

@@ -73,25 +73,17 @@ object DistTemplates {
     outputKind(spoof, cplan) match {
       case BlockAligned(outCols, outSparsity) =>
         val out = grouped.map { case (rbi, blocks) =>
-          BlockRow(rbi, executeSingle(spoof, assemble(rbi, blocks)))
+          BlockRow(rbi, spoof.execute(assemble(rbi, blocks)))
         }(DistOps.blockRowEnc)
         Left(DistMatrix(out, mainRows, outCols, blockSize, outSparsity))
       case ReduceBlocks(outRows, outCols, combine) =>
         val partials = grouped.map { case (rbi, blocks) =>
-          executeSingle(spoof, assemble(rbi, blocks)).toDense.values
+          spoof.execute(assemble(rbi, blocks)).toDense.values
         }(DistOps.doubleArrEnc)
         val res = partials.reduce(combine)
         Right(new DenseBlock(outRows, outCols, res))
     }
   }
-
-  private def executeSingle(spoof: SpoofOperator, inputs: IndexedSeq[MatrixBlock]): MatrixBlock =
-    spoof match {
-      case c: SpoofCellwise     => c.executeSingle(inputs)
-      case m: SpoofMultiAgg     => m.executeSingle(inputs)
-      case r: SpoofRowwise      => r.executeSingle(inputs)
-      case o: SpoofOuterProduct => o.executeSingle(inputs)
-    }
 
   private sealed trait OutKind
   private final case class BlockAligned(cols: Long, sparsity: Double) extends OutKind

@@ -27,78 +27,30 @@ abstract class OuterExec extends Serializable {
               b: Array[MatrixBlock], rix: Int, cix: Int): Double
 }
 
-/** Closure-backed fallbacks (used when no system Java compiler exists). */
-final class FnCellExec(f: (Double, Array[MatrixBlock], Int, Int) => Double) extends CellExec {
-  def genexec(a: Double, b: Array[MatrixBlock], rix: Int, cix: Int): Double = f(a, b, rix, cix)
-}
-final class FnRowExec(
-    vec: (Array[Double], Array[MatrixBlock], Int) => Array[Double],
-    scalar: (Array[Double], Array[MatrixBlock], Int) => Double,
-    vec2: (Array[Double], Array[MatrixBlock], Int) => Array[Double],
-) extends RowExec {
-  override def genexecVec(a: Array[Double], b: Array[MatrixBlock], rix: Int): Array[Double] =
-    if (vec == null) null else vec(a, b, rix)
-  override def genexecScalar(a: Array[Double], b: Array[MatrixBlock], rix: Int): Double =
-    if (scalar == null) 0.0 else scalar(a, b, rix)
-  override def genexecVec2(a: Array[Double], b: Array[MatrixBlock], rix: Int): Array[Double] =
-    if (vec2 == null) null else vec2(a, b, rix)
-}
-final class FnOuterExec(f: (Double, Array[Double], Array[Double], Array[MatrixBlock], Int, Int) => Double) extends OuterExec {
-  def genexec(x: Double, u: Array[Double], v: Array[Double],
-              b: Array[MatrixBlock], rix: Int, cix: Int): Double = f(x, u, v, b, rix, cix)
-}
-
-/** A serializable reference to a genexec. Java-generated execs ship their
-  * source and re-resolve through the per-JVM compile cache on
-  * deserialization (the distributed runtime rebuilds generated operators
-  * on any executor); closure-backed execs serialize directly. */
-final class ExecRef[T <: AnyRef] private (
-    @transient private var inst: T,
-    val className: String,
-    val source: String,
-    private val directInst: T, // serialized as-is for closure-backed execs
-) extends Serializable {
-  def get: T = {
-    if (directInst != null) return directInst
-    // generated classes carry reusable row buffers -> one instance per thread
-    JavaBackend.threadInstance(className, source).asInstanceOf[T]
-  }
-}
-object ExecRef {
-  /** A ref to a Java-compiled exec, re-resolvable from source. */
-  def compiled[T <: AnyRef](inst: T, className: String, source: String): ExecRef[T] =
-    new ExecRef[T](inst, className, source, null.asInstanceOf[T])
-  /** A ref for a closure-backed exec. */
-  def direct[T <: AnyRef](inst: T): ExecRef[T] =
-    new ExecRef[T](inst, null, null, inst)
+/** A serializable reference to a generated genexec: its class name and
+  * Java source. The distributed runtime ships operators to executors,
+  * where `get` recompiles the source once per JVM through the class
+  * cache. */
+final case class ExecRef[T <: AnyRef](className: String, source: String) {
+  /** Generated classes carry reusable row buffers, so each thread gets its
+    * own instance. */
+  def get: T = JavaBackend.threadInstance(className, source).asInstanceOf[T]
 }
 
 /** In-memory Java compilation of generated operators — the paper's javac
   * path (Fig. 11; janino is not available offline, javac ships with the
-  * JDK). Compiled classes and instances are cached per JVM. */
+  * JDK). Compiled classes are cached per JVM, instances per thread. */
 object JavaBackend {
 
-  lazy val compiler: JavaCompiler = ToolProvider.getSystemJavaCompiler
-  lazy val available: Boolean =
-    compiler != null && {
-      // the forked JVM must carry the application classpath for javac to
-      // resolve repro.runtime.* supertypes
-      try { compileClass("ReproProbe", probeSource); true }
-      catch { case _: Throwable => false }
-    }
+  private lazy val compiler: JavaCompiler = {
+    val c = ToolProvider.getSystemJavaCompiler
+    if (c == null)
+      throw new IllegalStateException(
+        "no system Java compiler: code generation requires a JDK (with javac), not a JRE")
+    c
+  }
 
   private val classCache = TrieMap[String, Class[_]]()
-  private val instCache = TrieMap[String, AnyRef]()
-
-  private val probeSource =
-    "package repro.codegen;\n" +
-    "public final class ReproProbe extends repro.runtime.CellExec {\n" +
-    "  public double genexec(double a, repro.runtime.MatrixBlock[] b, int rix, int cix) { return a; }\n" +
-    "}\n"
-
-  def instance(className: String, source: String): AnyRef =
-    instCache.getOrElseUpdate(className,
-      compileClass(className, source).getDeclaredConstructor().newInstance().asInstanceOf[AnyRef])
 
   private val threadInsts = new ThreadLocal[java.util.HashMap[String, AnyRef]] {
     override def initialValue() = new java.util.HashMap[String, AnyRef]()
@@ -143,6 +95,7 @@ object JavaBackend {
         mc
       }
     }
+    // javac resolves the repro.runtime supertypes from this JVM's classpath
     val options = List("-classpath", sys.props.getOrElse("java.class.path", "")).asJava
     val task = compiler.getTask(null, fm, diag, options, null,
       List[JavaFileObject](new MemSource(className, source)).asJava)

@@ -23,13 +23,6 @@ trait MatrixBlock extends Serializable {
   def toDense: DenseBlock
   def toSparse: SparseBlock
 
-  /** Row i as a dense array (copies for sparse; shares no storage). */
-  def denseRow(i: Int): Array[Double] = {
-    val out = new Array[Double](cols)
-    copyRow(i, out)
-    out
-  }
-
   /** Copy row i into a caller-provided buffer (ring-buffer row access). */
   def copyRow(i: Int, out: Array[Double]): Unit = {
     var j = 0
@@ -105,9 +98,6 @@ final class DenseBlock(val rows: Int, val cols: Int, val values: Array[Double]) 
     new SparseBlock(rows, cols, rowPtr, colIdx, vals)
   }
 
-  override def denseRow(i: Int): Array[Double] =
-    java.util.Arrays.copyOfRange(values, i * cols, (i + 1) * cols)
-
   override def copyRow(i: Int, out: Array[Double]): Unit =
     System.arraycopy(values, i * cols, out, 0, cols)
 
@@ -148,14 +138,6 @@ final class SparseBlock(
       i += 1
     }
     new DenseBlock(rows, cols, out)
-  }
-
-  override def denseRow(i: Int): Array[Double] = {
-    val out = new Array[Double](cols)
-    var p = rowPtr(i)
-    val end = rowPtr(i + 1)
-    while (p < end) { out(colIdx(p)) = vals(p); p += 1 }
-    out
   }
 
   override def copyRow(i: Int, out: Array[Double]): Unit = {

@@ -16,14 +16,7 @@ import repro.runtime.Ops._
   * and combines partial aggregates.
   */
 object Spoof {
-  /** Broadcast-aware side-input access (used by the closure fallback). */
-  def getValue(side: MatrixBlock, rix: Int, cix: Int): Double =
-    if (side.rows == 1 && side.cols == 1) side.get(0, 0)
-    else if (side.cols == 1) side.get(rix, 0)
-    else if (side.rows == 1) side.get(0, cix)
-    else side.get(rix, cix)
-
-  /** Densify side inputs for O(1) access (stateless getValue over sparse
+  /** Densify side inputs for O(1) access (stateless `get` over sparse
     * blocks would degrade to row scans; the paper uses stateful iterators). */
   def prepSides(inputs: IndexedSeq[MatrixBlock]): Array[MatrixBlock] = {
     val out = new Array[MatrixBlock](inputs.length)
@@ -41,8 +34,9 @@ object Spoof {
 
 sealed trait SpoofOperator extends Serializable {
   def name: String
-  /** Execute over local blocks; inputs ordered as in the CPlan (main first). */
-  def execute(inputs: IndexedSeq[MatrixBlock]): IndexedSeq[MatrixBlock]
+  /** Execute over local blocks; inputs ordered as in the CPlan (main
+    * first). Aggregating operators return their aggregate (MAgg: 1 x k). */
+  def execute(inputs: IndexedSeq[MatrixBlock]): MatrixBlock
 }
 
 /** Cell template skeleton: iterates cells (or non-zeros when sparse-safe;
@@ -54,10 +48,7 @@ final class SpoofCellwise(
     val exec: ExecRef[CellExec],
 ) extends SpoofOperator {
 
-  def execute(inputs0: IndexedSeq[MatrixBlock]): IndexedSeq[MatrixBlock] =
-    IndexedSeq(executeSingle(inputs0))
-
-  def executeSingle(inputs0: IndexedSeq[MatrixBlock]): MatrixBlock = {
+  def execute(inputs0: IndexedSeq[MatrixBlock]): MatrixBlock = {
     val inputs = Spoof.prepSides(inputs0)
     val gx = exec.get
     inputs(0) match {
@@ -218,12 +209,7 @@ final class SpoofMultiAgg(
     val execs: IndexedSeq[ExecRef[CellExec]],
 ) extends SpoofOperator {
 
-  def execute(inputs0: IndexedSeq[MatrixBlock]): IndexedSeq[MatrixBlock] = {
-    val out = executeSingle(inputs0)
-    (0 until funcs.length).map(k => MatrixBlock.dense(1, 1, Array(out.get(0, k))))
-  }
-
-  def executeSingle(inputs0: IndexedSeq[MatrixBlock]): MatrixBlock = {
+  def execute(inputs0: IndexedSeq[MatrixBlock]): MatrixBlock = {
     val inputs = Spoof.prepSides(inputs0)
     val gxs = execs.map(_.get).toArray
     val fns = funcs.toArray
@@ -273,12 +259,9 @@ final class SpoofRowwise(
     val exec: ExecRef[RowExec],
 ) extends SpoofOperator {
 
-  def execute(inputs0: IndexedSeq[MatrixBlock]): IndexedSeq[MatrixBlock] =
-    IndexedSeq(executeSingle(inputs0))
-
   /** Output dimensions are taken from the first row's result — generated
     * operators are shape-generic and shared across data sizes. */
-  def executeSingle(inputs0: IndexedSeq[MatrixBlock]): MatrixBlock = {
+  def execute(inputs0: IndexedSeq[MatrixBlock]): MatrixBlock = {
     val inputs = new Array[MatrixBlock](inputs0.length)
     var k = 0
     while (k < inputs.length) {
@@ -369,10 +352,7 @@ final class SpoofOuterProduct(
     val exec: ExecRef[OuterExec],
 ) extends SpoofOperator {
 
-  def execute(inputs0: IndexedSeq[MatrixBlock]): IndexedSeq[MatrixBlock] =
-    IndexedSeq(executeSingle(inputs0))
-
-  def executeSingle(inputs0: IndexedSeq[MatrixBlock]): MatrixBlock = {
+  def execute(inputs0: IndexedSeq[MatrixBlock]): MatrixBlock = {
     val inputs: Array[MatrixBlock] = inputs0.toArray
     val gx = exec.get
     val x = inputs(0)

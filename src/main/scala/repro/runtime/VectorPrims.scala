@@ -1,15 +1,13 @@
 package repro.runtime
 
-import Ops._
-
 /** Library of row-vector primitives shared by all generated Row/Outer
   * operators — the analogue of SystemML's `LibSpoofPrimitives`.
   *
   * Sharing these among fused operators (instead of inlining their bodies
   * into generated code) is what keeps the instruction footprint of
-  * generated operators small (paper §5.2, Fig. 10). In our closure-based
-  * code generator the same structural property holds: generated operators
-  * are compositions of calls into this library.
+  * generated operators small (paper §5.2, Fig. 10): the Java source that
+  * [[repro.compiler.Codegen]] emits calls into this library instead of
+  * inlining vector loops.
   */
 object VectorPrims {
 
@@ -43,81 +41,11 @@ object VectorPrims {
     while (k < apos + alen) { c(ci + aix(k)) += s * avals(k); k += 1 }
   }
 
-  /** out = a elementwise-op b. */
-  def vectBinaryWrite(op: BinaryOp, a: Array[Double], b: Array[Double]): Array[Double] = {
-    val out = new Array[Double](a.length)
-    var k = 0
-    while (k < a.length) { out(k) = op(a(k), b(k)); k += 1 }
-    out
-  }
-
-  /** out = a elementwise-op scalar. */
-  def vectScalarWrite(op: BinaryOp, a: Array[Double], s: Double): Array[Double] = {
-    val out = new Array[Double](a.length)
-    var k = 0
-    while (k < a.length) { out(k) = op(a(k), s); k += 1 }
-    out
-  }
-
-  /** out = scalar elementwise-op a. */
-  def scalarVectWrite(op: BinaryOp, s: Double, a: Array[Double]): Array[Double] = {
-    val out = new Array[Double](a.length)
-    var k = 0
-    while (k < a.length) { out(k) = op(s, a(k)); k += 1 }
-    out
-  }
-
-  /** out = unary-op(a). */
-  def vectUnaryWrite(op: UnaryOp, a: Array[Double]): Array[Double] = {
-    val out = new Array[Double](a.length)
-    var k = 0
-    while (k < a.length) { out(k) = op(a(k)); k += 1 }
-    out
-  }
-
   def vectSum(a: Array[Double]): Double = {
     var s = 0.0
     var k = 0
     while (k < a.length) { s += a(k); k += 1 }
     s
-  }
-
-  def vectAgg(f: AggFunc, a: Array[Double]): Double = {
-    var s = f.init
-    var k = 0
-    while (k < a.length) { s = f(s, a(k)); k += 1 }
-    s
-  }
-
-  /** Row-vector (1 x n) times dense matrix (n x m) -> 1 x m: out = a * B. */
-  def vectMatMult(a: Array[Double], bvals: Array[Double], ai: Int, n: Int, m: Int): Array[Double] = {
-    val out = new Array[Double](m)
-    var j = 0
-    while (j < n) {
-      val av = a(ai + j)
-      if (av != 0.0) {
-        var k = 0
-        val boff = j * m
-        while (k < m) { out(k) += av * bvals(boff + k); k += 1 }
-      }
-      j += 1
-    }
-    out
-  }
-
-  /** Sparse row-vector times dense matrix. */
-  def vectMatMult(avals: Array[Double], aix: Array[Int], apos: Int, alen: Int,
-                  bvals: Array[Double], m: Int): Array[Double] = {
-    val out = new Array[Double](m)
-    var p = apos
-    while (p < apos + alen) {
-      val av = avals(p)
-      val boff = aix(p) * m
-      var k = 0
-      while (k < m) { out(k) += av * bvals(boff + k); k += 1 }
-      p += 1
-    }
-    out
   }
 
   /** c (n x m, row-major) += outer(a_row, b) for a dense row a[ai, ai+n). */
@@ -132,19 +60,6 @@ object VectorPrims {
         while (k < m) { c(coff + k) += av * b(k); k += 1 }
       }
       j += 1
-    }
-  }
-
-  /** Sparse variant of vectOuterMultAdd. */
-  def vectOuterMultAdd(avals: Array[Double], aix: Array[Int], apos: Int, alen: Int,
-                       b: Array[Double], c: Array[Double], m: Int): Unit = {
-    var p = apos
-    while (p < apos + alen) {
-      val coff = aix(p) * m
-      val av = avals(p)
-      var k = 0
-      while (k < m) { c(coff + k) += av * b(k); k += 1 }
-      p += 1
     }
   }
 

@@ -239,6 +239,76 @@ class CodegenSpec extends SparkSpec {
     }
   }
 
+  // ---- ExecRef: one instance per thread, Java serialization -------------
+  /** Eq2's t(X) %*% (Q - P*rowSums(Q)): one Row operator whose generated
+    * class keeps ring-buffer fields for its vector intermediates. */
+  private def eq2(x: MX, p: MX, v: MX): MX = {
+    val q = p * (x %*% v)
+    x.t %*% (q - p * q.rowSums)
+  }
+  private def eq2Inputs(seed: Long): Map[String, MatrixBlock] =
+    Map("X" -> dense(400, 8, seed), "P" -> pos(400, 4, seed + 1), "V" -> dense(8, 4, seed + 2))
+  private def eq2Dag(mode: ExecMode, in: Map[String, MatrixBlock]): (ExecContext, MX) = {
+    val ctx = new ExecContext(mode)
+    (ctx, eq2(ctx.bindLocal("X", in("X")), ctx.bindLocal("P", in("P")), ctx.bindLocal("V", in("V"))))
+  }
+  private def eq2Base(in: Map[String, MatrixBlock]): MatrixBlock = {
+    val (ctx, root) = eq2Dag(BaseMode, in)
+    ctx.eval(Seq(root)).head.toLocal
+  }
+  private def eq2Operator(): (SpoofOperator, CPlan) = {
+    val (ctx, root) = eq2Dag(GenMode(CostBased), eq2Inputs(1))
+    val cplan = ctx.compilePlan(Seq(root.hop)).ops match {
+      case Seq(PFused(spec)) => CPlan.construct(spec)
+      case ops               => fail(s"expected one fused operator, got $ops")
+    }
+    assert(cplan.tpe == RowTpl)
+    (Codegen.compile(cplan), cplan)
+  }
+  /** The operator's inputs in CPlan order, taken from `in` by leaf name. */
+  private def blocksFor(cplan: CPlan, in: Map[String, MatrixBlock]): IndexedSeq[MatrixBlock] =
+    cplan.inputs.map {
+      case l: LeafHop => in(l.leafName)
+      case l: LitHop  => MatrixBlock.dense(1, 1, Array(l.value))
+      case h          => fail(s"unexpected operator input $h")
+    }
+
+  test("compiled Row operator on 4 threads, one instance each") {
+    val (op, cplan) = eq2Operator()
+    val inputs = (1 to 4).map(t => eq2Inputs(100L * t))
+    val start = new java.util.concurrent.CountDownLatch(1)
+    val pool = java.util.concurrent.Executors.newFixedThreadPool(4)
+    try {
+      val diffs = inputs.map { in =>
+        val blocks = blocksFor(cplan, in)
+        val exp = eq2Base(in)
+        pool.submit(new java.util.concurrent.Callable[Double] {
+          def call(): Double = {
+            start.await()
+            (1 to 50).map(_ => MatrixBlock.maxAbsDiff(op.execute(blocks), exp)).max
+          }
+        })
+      }
+      start.countDown()
+      diffs.zipWithIndex.foreach { case (f, t) =>
+        val d = f.get()
+        assert(d <= 1e-8, s"thread $t differs from its Base result by $d")
+      }
+    } finally pool.shutdown()
+  }
+
+  test("compiled operator survives a Java serialization round trip") {
+    val (op, cplan) = eq2Operator()
+    val bytes = new java.io.ByteArrayOutputStream()
+    val out = new java.io.ObjectOutputStream(bytes)
+    try out.writeObject(op) finally out.close()
+    val copy = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
+      .readObject().asInstanceOf[SpoofOperator]
+    assert(copy ne op)
+    val blocks = blocksFor(cplan, eq2Inputs(7))
+    assert(MatrixBlock.maxAbsDiff(copy.execute(blocks), op.execute(blocks)) == 0.0)
+  }
+
   // ---- plan cache -------------------------------------------------------
   test("plan cache hits on repeated identical DAGs") {
     Codegen.clearCache()

@@ -34,9 +34,12 @@ class BlockSpec extends SparkSpec {
     val m = MatrixBlock.tabulate(5, 4)((i, j) => i * 10.0 + j)
     for (i <- 0 until 5; j <- 0 until 4) assert(m.get(i, j) == i * 10.0 + j)
   }
-  test("denseRow copies row content (dense and sparse)") {
-    for (m <- Seq(d1, s1); i <- Seq(0, 7, 16))
-      assert(m.denseRow(i).toSeq == (0 until 9).map(m.get(i, _)))
+  test("copyRow copies row content into a reused buffer (dense and sparse)") {
+    val buf = Array.fill(9)(Double.NaN) // stale content must be overwritten
+    for (m <- Seq(d1, s1); i <- Seq(0, 7, 16)) {
+      m.copyRow(i, buf)
+      assert(buf.toSeq == (0 until 9).map(m.get(i, _)))
+    }
   }
 
   for (op <- Seq(Exp, Log, Sqrt, Abs, Sign, Neg, Sigmoid, Neq0, Pow2)) {
