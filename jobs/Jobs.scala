@@ -8,7 +8,7 @@ import repro.bench.Benchmarks
   */
 private object JobUtil {
   def sparkSession(name: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.shuffle.partitions", "64")

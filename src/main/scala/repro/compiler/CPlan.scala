@@ -109,8 +109,6 @@ final case class CPlan(
       roots.map(sig(_, 0)).mkString("|") + sparseSafe
   }
 
-  lazy val structuralHash: Int = structuralKey.hashCode
-
   /** Broadcast class of a side input: scalar, column vector, row vector,
     * row-aligned matrix, or non-aligned matrix (matmult side). */
   private def classify(h: Hop): String =

@@ -21,11 +21,6 @@ object CodegenStats {
 
   def reset(): Unit = Seq(dagsOptimized, cplansConstructed, operatorsCompiled,
     planCacheHits, codegenNanos, compileNanos, plansEvaluated, plansSkipped).foreach(_.set(0))
-
-  def summary: String =
-    f"dags=${dagsOptimized.get} cplans=${cplansConstructed.get} compiled=${operatorsCompiled.get} " +
-      f"cacheHits=${planCacheHits.get} codegen=${codegenNanos.get / 1e6}%.1fms " +
-      f"compile=${compileNanos.get / 1e6}%.1fms plansEval=${plansEvaluated.get} plansSkipped=${plansSkipped.get}"
 }
 
 /** Compiles CPlans into executable fused operators.
@@ -44,7 +39,6 @@ object Codegen {
 
   private val planCache = TrieMap[String, SpoofOperator]()
 
-  def cacheSize: Int = planCache.size
   def clearCache(): Unit = planCache.clear()
 
   def compile(cplan: CPlan): SpoofOperator = {

@@ -107,6 +107,8 @@ object CostModel {
         (total * scale + densify) / cfg.computeBandwidth
       case PMultiAgg(specs) =>
         specs.map(s => coveredFlops(s) * sparsityScale(s)).sum / cfg.computeBandwidth
+      case h: PHandCoded =>
+        throw new IllegalArgumentException(s"the Fused baseline is never costed: $h")
     }
 
     val latency = if (dist) cfg.distLatencyS else 0.0

@@ -138,24 +138,12 @@ object HandCoded {
     }
     case HSumSq => inputs.head match {
       case LocalData(x) => LocalData(sumSqLocal(x))
-      case DistData(x)  =>
-        val p = x.ds.map(br => sumSqLocal(br.block).get(0, 0))(org.apache.spark.sql.Encoders.scalaDouble)
-        LocalData(MatrixBlock.dense(1, 1, Array(p.reduce(_ + _))))
+      case DistData(x)  => LocalData(DistOps.reduceBlocks(x, Nil, 1, 1, DistOps.sumCombine)((_, b) => sumSqLocal(b(0))))
     }
     case HSumProd => (inputs(0), inputs(1)) match {
       case (LocalData(x), LocalData(y)) => LocalData(sumProdLocal(x, y))
-      case (DistData(x), DistData(y)) =>
-        val p = DistOps.cogroupByRbi(Seq(x.ds, y.ds))
-          .map { case (_, bs) => sumProdLocal(bs(0), bs(1)).get(0, 0) }(org.apache.spark.sql.Encoders.scalaDouble)
-        LocalData(MatrixBlock.dense(1, 1, Array(p.reduce(_ + _))))
-      case (DistData(x), LocalData(y)) =>
-        val bc = x.ds.sparkSession.sparkContext.broadcast(y)
-        val bs = x.blockSize
-        val p = x.ds.map { br =>
-          sumProdLocal(br.block, LocalOps.rowSlice(bc.value, br.rbi * bs, br.rbi * bs + br.rows)).get(0, 0)
-        }(org.apache.spark.sql.Encoders.scalaDouble)
-        LocalData(MatrixBlock.dense(1, 1, Array(p.reduce(_ + _))))
-      case _ => throw new UnsupportedOperationException("sumProd local-dist")
+      case (DistData(x), y)             => LocalData(sumProdDist(x, y))
+      case (x, DistData(y))             => LocalData(sumProdDist(y, x)) // sum(X * Y) is symmetric
     }
     case HWSLoss =>
       LocalData(wsloss(inputs(0).toLocal, inputs(1).toLocal.toDense, inputs(2).toLocal.toDense))
@@ -194,16 +182,17 @@ object HandCoded {
     new DenseBlock(x.cols, 1, out)
   }
 
-  def mmchainDist(x: DistMatrix, v: MatrixBlock, w: Option[MatrixBlock]): MatrixBlock = {
-    val sc = x.ds.sparkSession.sparkContext
-    val bv = sc.broadcast(v)
-    val bw = sc.broadcast(w)
-    val bs = x.blockSize
-    val partials = x.ds.map { br =>
-      val wSlice = bw.value.map(wb => LocalOps.rowSlice(wb, br.rbi * bs, br.rbi * bs + br.rows))
-      mmchainLocal(br.block, bv.value, wSlice).toDense.values
-    }(DistOps.doubleArrEnc)
-    new DenseBlock(x.cols.toInt, 1, partials.reduce { (p, q) => VectorPrims.vectAdd(q, p); p })
+  def mmchainDist(x: DistMatrix, v: MatrixBlock, w: Option[MatrixBlock]): MatrixBlock =
+    DistOps.reduceBlocks(x, LocalSide(v, rowAligned = false) +: w.map(LocalSide(_, rowAligned = true)).toSeq,
+      x.cols.toInt, 1, DistOps.sumCombine)((_, b) => mmchainLocal(b(0), b(1), b.lift(2)))
+
+  /** sum(X * Y) with X distributed and Y (same shape) distributed or local. */
+  private def sumProdDist(x: DistMatrix, y: MatrixData): MatrixBlock = {
+    val side = y match {
+      case DistData(yd) => DistSide(yd)
+      case LocalData(yl) => LocalSide(yl, rowAligned = true)
+    }
+    DistOps.reduceBlocks(x, Seq(side), 1, 1, DistOps.sumCombine)((_, b) => sumProdLocal(b(0), b(1)))
   }
 
   def sumSqLocal(x: MatrixBlock): MatrixBlock = {

@@ -58,10 +58,6 @@ final class MemoTable {
   def hasCompatibleOpen(id: Long, tpes: Set[TemplateType]): Boolean =
     entries(id).exists(e => e.isOpen && tpes.contains(e.tpe))
 
-  /** Does group `id` contain any entry (open or closed-valid) of `tpe`? */
-  def hasTemplate(id: Long, tpe: TemplateType): Boolean =
-    entries(id).exists(_.tpe == tpe)
-
   /** Remove duplicates (set semantics already) and closed-valid entries
     * without group references — they would cover a single operator. */
   def pruneRedundant(id: Long): Unit = groups.get(id).foreach { g =>

@@ -47,22 +47,31 @@ final case class DistMatrix(
     sparsity: Double,
     transposed: Boolean = false,
 ) {
-  def logicalRows: Long = if (transposed) cols else rows
-  def logicalCols: Long = if (transposed) rows else cols
-
   /** Release the cached blocks (non-blocking). */
   def unpersist(): Unit = ds.unpersist()
 }
 
-/** Distributed basic operators over Dataset[BlockRow] — the runtime of
-  * Base-mode distributed execution. Fused distributed operators live in
-  * [[DistTemplates]]. */
+/** A side input of a per-row-block operator ([[DistOps.mapBlocks]],
+  * [[DistOps.reduceBlocks]]). */
+sealed trait BlockSide
+/** A distributed matrix with the main input's row blocking, joined to it
+  * by row-block index. */
+final case class DistSide(dm: DistMatrix) extends BlockSide
+/** A local block, broadcast once; sliced to each main block's rows when
+  * `rowAligned`, passed whole otherwise. */
+final case class LocalSide(b: MatrixBlock, rowAligned: Boolean) extends BlockSide
+
+/** Distributed operators over Dataset[BlockRow]. Every operator, basic or
+  * fused ([[DistTemplates]], [[repro.compiler.HandCoded]]), runs a local
+  * kernel once per row block of its main input through [[mapBlocks]]
+  * (row-block-aligned output) or [[reduceBlocks]] (per-block partials
+  * combined at the driver), as in paper §2.2. */
 object DistOps {
 
   import org.apache.spark.sql.{Encoder, Encoders}
-  val blockRowEnc: Encoder[BlockRow] = Encoders.product[BlockRow]
-  val doubleArrEnc: Encoder[Array[Double]] = Encoders.javaSerialization[Array[Double]]
-  val tupEnc: Encoder[(Int, BlockRow)] = Encoders.product[(Int, BlockRow)]
+  private val blockRowEnc: Encoder[BlockRow] = Encoders.product[BlockRow]
+  private val doubleArrEnc: Encoder[Array[Double]] = Encoders.javaSerialization[Array[Double]]
+  private val tupEnc: Encoder[(Int, BlockRow)] = Encoders.product[(Int, BlockRow)]
 
   /** Reblock a driver-local matrix into a persisted Dataset, the
     * counterpart of SystemML's checkpoint after reblock: every later
@@ -86,131 +95,132 @@ object DistOps {
     LocalOps.rbind(blocks)
   }
 
-  /** Apply f per row block; new column count must be provided when f
-    * changes the shape. Row count per block must be preserved. */
-  def mapBlocks(dm: DistMatrix, newCols: Long, newSparsity: Double)(
-      f: MatrixBlock => MatrixBlock): DistMatrix = {
-    val out = dm.ds.map(br => BlockRow(br.rbi, f(br.block)))(blockRowEnc)
-    DistMatrix(out, dm.rows, newCols, dm.blockSize, newSparsity)
+  /** Combines two partials by element-wise sum, into `p`. */
+  val sumCombine: (Array[Double], Array[Double]) => Array[Double] =
+    (p, q) => { VectorPrims.vectAdd(q, p); p }
+
+  /** Combines two partials position by position, position `i` with
+    * `funcs(i)`, into `p`. */
+  def aggCombine(funcs: Int => AggFunc): (Array[Double], Array[Double]) => Array[Double] =
+    (p, q) => {
+      var i = 0
+      while (i < p.length) { p(i) = funcs(i)(p(i), q(i)); i += 1 }
+      p
+    }
+
+  /** The matrix with `main`'s row blocking whose block at row offset `off`
+    * is `f(off, blocks)`; `blocks` holds the main block and then one block
+    * per side, in order. `f` must keep the block's row count. */
+  def mapBlocks(main: DistMatrix, sides: Seq[BlockSide], cols: Long, sparsity: Double)(
+      f: (Int, IndexedSeq[MatrixBlock]) => MatrixBlock): DistMatrix = {
+    val bs = main.blockSize
+    val out = perBlock(main, sides, blockRowEnc)((rbi, blocks) => BlockRow(rbi, f(rbi * bs, blocks)))
+    DistMatrix(out, main.rows, cols, bs, sparsity)
+  }
+
+  /** `f` as in [[mapBlocks]], each result a `rows x cols` partial; the
+    * partials are combined at the driver with `combine`. */
+  def reduceBlocks(main: DistMatrix, sides: Seq[BlockSide], rows: Int, cols: Int,
+                   combine: (Array[Double], Array[Double]) => Array[Double])(
+      f: (Int, IndexedSeq[MatrixBlock]) => MatrixBlock): MatrixBlock = {
+    val bs = main.blockSize
+    val partials = perBlock(main, sides, doubleArrEnc)((rbi, blocks) => f(rbi * bs, blocks).toDense.values)
+    new DenseBlock(rows, cols, partials.reduce(combine))
+  }
+
+  /** Runs `f(rbi, blocks)` once per row block of `main`: a plain map when
+    * no side is distributed, a cogroup by row-block index otherwise; the
+    * local sides are broadcast together, once, and only if there are any. */
+  private def perBlock[T](main: DistMatrix, sides: Seq[BlockSide], enc: Encoder[T])(
+      f: (Int, IndexedSeq[MatrixBlock]) => T): Dataset[T] = {
+    require(!main.transposed, "the main input of a per-block operator must not be a transposed view")
+    val bs = main.blockSize
+    val dist = sides.collect { case DistSide(dm) => dm.ds }
+    val local = sides.collect { case LocalSide(b, _) => b }.toIndexedSeq
+    val bc = if (local.isEmpty) None else Some(main.ds.sparkSession.sparkContext.broadcast(local))
+    // per side: Left(index among the cogrouped blocks) or Right((index among the broadcast blocks, rowAligned))
+    var nDist, nLocal = 0
+    val slots: IndexedSeq[Either[Int, (Int, Boolean)]] = sides.toIndexedSeq.map {
+      case DistSide(_)              => nDist += 1; Left(nDist)
+      case LocalSide(_, rowAligned) => nLocal += 1; Right((nLocal - 1, rowAligned))
+    }
+    def assemble(rbi: Int, joined: IndexedSeq[MatrixBlock]): IndexedSeq[MatrixBlock] = {
+      val off = rbi * bs
+      val rows = joined(0).rows
+      joined(0) +: slots.map {
+        case Left(j) => joined(j)
+        case Right((k, rowAligned)) =>
+          val b = bc.get.value(k)
+          if (rowAligned) LocalOps.rowSlice(b, off, off + rows) else b
+      }
+    }
+    if (dist.isEmpty) main.ds.map(br => f(br.rbi, assemble(br.rbi, IndexedSeq(br.block))))(enc)
+    else cogroupByRbi(main.ds +: dist).map { case (rbi, joined) => f(rbi, assemble(rbi, joined)) }(enc)
   }
 
   def unary(op: UnaryOp, dm: DistMatrix): DistMatrix =
-    mapBlocks(dm, dm.cols, if (op.sparseSafe) dm.sparsity else 1.0)(LocalOps.unary(op, _))
+    mapBlocks(dm, Nil, dm.cols, if (op.sparseSafe) dm.sparsity else 1.0)((_, b) => LocalOps.unary(op, b(0)))
 
   /** Element-wise op between two row-aligned distributed matrices. */
   def binaryDistDist(op: BinaryOp, a: DistMatrix, b: DistMatrix): DistMatrix = {
     require(a.rows == b.rows, s"row mismatch ${a.rows} vs ${b.rows}")
-    val joined = cogroupByRbi(Seq(a.ds, b.ds))
-    val out = joined.map { case (rbi, blocks) =>
-      BlockRow(rbi, LocalOps.binary(op, blocks(0), blocks(1)))
-    }(blockRowEnc)
-    DistMatrix(out, a.rows, math.max(a.cols, b.cols), a.blockSize, 1.0)
+    mapBlocks(a, Seq(DistSide(b)), math.max(a.cols, b.cols), 1.0)((_, bl) => LocalOps.binary(op, bl(0), bl(1)))
   }
 
   /** Element-wise op with a broadcast local rhs: a row vector / scalar is
     * used as-is; a row-aligned matrix or column vector is sliced per block. */
-  def binaryDistLocal(op: BinaryOp, a: DistMatrix, b: MatrixBlock): DistMatrix = {
-    val sc = a.ds.sparkSession.sparkContext
-    val bb = sc.broadcast(b)
-    val bs = a.blockSize
-    val rowAligned = b.rows == a.rows && b.rows > 1
-    val out = a.ds.map { br =>
-      val rhs =
-        if (rowAligned) LocalOps.rowSlice(bb.value, br.rbi * bs, br.rbi * bs + br.rows)
-        else bb.value
-      BlockRow(br.rbi, LocalOps.binary(op, br.block, rhs))
-    }(blockRowEnc)
-    DistMatrix(out, a.rows, a.cols, a.blockSize, 1.0)
-  }
+  def binaryDistLocal(op: BinaryOp, a: DistMatrix, b: MatrixBlock): DistMatrix =
+    mapBlocks(a, Seq(LocalSide(b, b.rows == a.rows && b.rows > 1)), a.cols, 1.0)(
+      (_, bl) => LocalOps.binary(op, bl(0), bl(1)))
 
   /** Element-wise op with a broadcast local lhs (sliced when row-aligned). */
-  def binaryLocalDist(op: BinaryOp, a: MatrixBlock, b: DistMatrix): DistMatrix = {
-    val sc = b.ds.sparkSession.sparkContext
-    val ba = sc.broadcast(a)
-    val bs = b.blockSize
-    val rowAligned = a.rows == b.rows && a.rows > 1
-    val out = b.ds.map { br =>
-      val lhs =
-        if (rowAligned) LocalOps.rowSlice(ba.value, br.rbi * bs, br.rbi * bs + br.rows)
-        else ba.value
-      val res =
-        if (lhs.rows == 1 && lhs.cols == 1) LocalOps.binaryScalarLeft(op, lhs.get(0, 0), br.block)
-        else LocalOps.binary(op, lhs, br.block)
-      BlockRow(br.rbi, res)
-    }(blockRowEnc)
-    DistMatrix(out, b.rows, math.max(a.cols, b.cols), b.blockSize, 1.0)
-  }
+  def binaryLocalDist(op: BinaryOp, a: MatrixBlock, b: DistMatrix): DistMatrix =
+    mapBlocks(b, Seq(LocalSide(a, a.rows == b.rows && a.rows > 1)), math.max(a.cols, b.cols), 1.0) { (_, bl) =>
+      val lhs = bl(1)
+      if (lhs.rows == 1 && lhs.cols == 1) LocalOps.binaryScalarLeft(op, lhs.get(0, 0), bl(0))
+      else LocalOps.binary(op, lhs, bl(0))
+    }
 
   /** scalar op matrix (scalar on the left). */
   def binaryScalarLeft(op: BinaryOp, s: Double, a: DistMatrix): DistMatrix =
-    mapBlocks(a, a.cols, 1.0)(LocalOps.binaryScalarLeft(op, s, _))
+    mapBlocks(a, Nil, a.cols, 1.0)((_, b) => LocalOps.binaryScalarLeft(op, s, b(0)))
 
   /** X %*% W with a broadcast local rhs. */
   def matmulDistLocal(a: DistMatrix, w: MatrixBlock): DistMatrix = {
     require(!a.transposed, "transposed lhs requires matmulTransposeLeft")
-    val bb = a.ds.sparkSession.sparkContext.broadcast(w)
-    mapBlocks(a, w.cols, 1.0)(blk => LocalOps.matmul(blk, bb.value))
+    mapBlocks(a, Seq(LocalSide(w, rowAligned = false)), w.cols, 1.0)((_, b) => LocalOps.matmul(b(0), b(1)))
   }
 
   /** t(X) %*% Z for a transposed view X and row-aligned Z (dist or local):
     * per-block partial products reduced at the driver. */
-  def matmulTransposeLeft(x: DistMatrix, z: Either[DistMatrix, MatrixBlock]): MatrixBlock = {
-    val bs = x.blockSize
-    val partials: Dataset[Array[Double]] = z match {
-      case Left(zd) =>
-        cogroupByRbi(Seq(x.ds, zd.ds)).map { case (_, blocks) =>
-          val p = LocalOps.matmul(LocalOps.transpose(blocks(0)), blocks(1))
-          p.values
-        }(doubleArrEnc)
-      case Right(zl) =>
-        val bz = x.ds.sparkSession.sparkContext.broadcast(zl)
-        x.ds.map { br =>
-          val zBlk = LocalOps.rowSlice(bz.value, br.rbi * bs, br.rbi * bs + br.rows)
-          LocalOps.matmul(LocalOps.transpose(br.block), zBlk).values
-        }(doubleArrEnc)
-    }
-    val sum = partials.reduce { (p, q) => VectorPrims.vectAdd(q, p); p }
-    val zCols = z.fold(_.cols.toInt, _.cols)
-    new DenseBlock(x.cols.toInt, zCols, sum)
-  }
+  def matmulTransposeLeft(x: DistMatrix, z: Either[DistMatrix, MatrixBlock]): MatrixBlock =
+    reduceBlocks(x, Seq(z.fold[BlockSide](DistSide(_), LocalSide(_, rowAligned = true))),
+      x.cols.toInt, z.fold(_.cols.toInt, _.cols), sumCombine)(
+      (_, b) => LocalOps.matmul(LocalOps.transpose(b(0)), b(1)))
 
   /** Broadcast-left matmul: small local L (k x n) times row-blocked R
     * (n x m): per-block partial products of L's column slice, reduced. */
   def matmulLocalDist(l: MatrixBlock, r: DistMatrix): MatrixBlock = {
     require(l.cols == r.rows, s"matmul dims ${l.rows}x${l.cols} %*% ${r.rows}x${r.cols}")
-    val bl = r.ds.sparkSession.sparkContext.broadcast(l)
-    val bs = r.blockSize
-    val partials = r.ds.map { br =>
-      val off = br.rbi * bs
-      val lv = bl.value
-      val sub = MatrixBlock.tabulate(lv.rows, br.rows)((i, j) => lv.get(i, off + j))
-      LocalOps.matmul(sub, br.block).values
-    }(doubleArrEnc)
-    val sum = partials.reduce { (p, q) => VectorPrims.vectAdd(q, p); p }
-    new DenseBlock(l.rows, r.cols.toInt, sum)
-  }
-
-  def fullAgg(f: AggFunc, a: DistMatrix): MatrixBlock = {
-    val partials = a.ds.map(br => LocalOps.agg(f, FullDir, br.block).get(0, 0))(Encoders.scalaDouble)
-    MatrixBlock.dense(1, 1, Array(partials.reduce((x, y) => f(x, y))))
-  }
-
-  def colAgg(f: AggFunc, a: DistMatrix): MatrixBlock = {
-    val partials = a.ds.map(br => LocalOps.agg(f, ColDir, br.block).toDense.values)(doubleArrEnc)
-    val combined = partials.reduce { (p, q) =>
-      var i = 0
-      while (i < p.length) { p(i) = f(p(i), q(i)); i += 1 }
-      p
+    reduceBlocks(r, Seq(LocalSide(l, rowAligned = false)), l.rows, r.cols.toInt, sumCombine) { (off, b) =>
+      val lv = b(1)
+      val sub = MatrixBlock.tabulate(lv.rows, b(0).rows)((i, j) => lv.get(i, off + j))
+      LocalOps.matmul(sub, b(0))
     }
-    new DenseBlock(1, a.cols.toInt, combined)
   }
+
+  def fullAgg(f: AggFunc, a: DistMatrix): MatrixBlock =
+    reduceBlocks(a, Nil, 1, 1, aggCombine(_ => f))((_, b) => LocalOps.agg(f, FullDir, b(0)))
+
+  def colAgg(f: AggFunc, a: DistMatrix): MatrixBlock =
+    reduceBlocks(a, Nil, 1, a.cols.toInt, aggCombine(_ => f))((_, b) => LocalOps.agg(f, ColDir, b(0)))
 
   def rowAgg(f: AggFunc, a: DistMatrix): DistMatrix =
-    mapBlocks(a, 1L, 1.0)(LocalOps.agg(f, RowDir, _))
+    mapBlocks(a, Nil, 1L, 1.0)((_, b) => LocalOps.agg(f, RowDir, b(0)))
 
   /** Align several row-block datasets by rbi (tagged union + groupByKey);
     * blocks come back in the order the datasets were given. */
-  def cogroupByRbi(dss: Seq[Dataset[BlockRow]]): Dataset[(Int, IndexedSeq[MatrixBlock])] = {
+  private def cogroupByRbi(dss: Seq[Dataset[BlockRow]]): Dataset[(Int, IndexedSeq[MatrixBlock])] = {
     val tagged = dss.zipWithIndex.map { case (ds, tag) =>
       ds.map(br => (tag, br))(tupEnc)
     }.reduce(_ union _)

@@ -59,9 +59,6 @@ final class CompressedBlock(
 
   def toSparse: SparseBlock = toDense.toSparse
 
-  /** Number of distinct values across all column dictionaries. */
-  def dictSize: Int = groups.map(_.dict.length).sum
-
   /** Compression ratio vs dense representation (values only). */
   def compressionRatio: Double = {
     val dense = rows.toLong * cols * 8.0

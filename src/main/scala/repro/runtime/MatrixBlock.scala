@@ -62,7 +62,6 @@ final class DenseBlock(val rows: Int, val cols: Int, val values: Array[Double]) 
   require(values.length == rows.toLong * cols, s"dense storage mismatch: ${values.length} != $rows*$cols")
 
   def get(i: Int, j: Int): Double = values(i * cols + j)
-  def set(i: Int, j: Int, v: Double): Unit = values(i * cols + j) = v
 
   lazy val nnz: Long = {
     var c = 0L; var k = 0
@@ -100,8 +99,6 @@ final class DenseBlock(val rows: Int, val cols: Int, val values: Array[Double]) 
 
   override def copyRow(i: Int, out: Array[Double]): Unit =
     System.arraycopy(values, i * cols, out, 0, cols)
-
-  def copy(): DenseBlock = new DenseBlock(rows, cols, values.clone())
 }
 
 /** CSR sparse block. Non-zeros of row i live in [rowPtr(i), rowPtr(i+1)). */
@@ -167,14 +164,6 @@ object MatrixBlock {
 
   def zeros(rows: Int, cols: Int): DenseBlock =
     new DenseBlock(rows, cols, new Array[Double](rows * cols))
-
-  def fill(rows: Int, cols: Int, v: Double): DenseBlock = {
-    val a = new Array[Double](rows * cols)
-    java.util.Arrays.fill(a, v)
-    new DenseBlock(rows, cols, a)
-  }
-
-  def ones(rows: Int, cols: Int): DenseBlock = fill(rows, cols, 1.0)
 
   /** Uniform(min,max) dense or sparse (CSR) random block, deterministic in seed.
     * sparsity < 1 zeroes cells independently with prob 1-sparsity and

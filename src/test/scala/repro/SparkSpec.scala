@@ -40,7 +40,7 @@ object SparkSpec {
     s.asInstanceOf[org.apache.spark.sql.classic.SparkSession].sharedState.cacheManager.isEmpty
 
   lazy val shared: SparkSession = {
-    val s = SparkSession.builder
+    val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
       .config("spark.sql.shuffle.partitions",

@@ -99,11 +99,35 @@ class DistSpec extends SparkSpec {
         LocalOps.binary(Plus, xDense, cv)) < 1e-12)
     }
   }
+  test("distributed binary with broadcast local lhs: matrix, sliced column vector, scalar") {
+    withDist(dist(xSparse)) { b =>
+      val lm = MatrixBlock.rand(100, 12, 1.0, 21, min = -1, max = 1)
+      assert(MatrixBlock.maxAbsDiff(
+        DistOps.toLocal(DistOps.binaryLocalDist(Minus, lm, b)),
+        LocalOps.binary(Minus, lm, xSparse)) < 1e-12)
+      assert(MatrixBlock.maxAbsDiff(
+        DistOps.toLocal(DistOps.binaryScalarLeft(Minus, 3.0, b)),
+        LocalOps.binaryScalarLeft(Minus, 3.0, xSparse)) < 1e-12)
+    }
+    val c0 = MatrixBlock.rand(100, 1, 1.0, 22, min = -1, max = 1)
+    withDist(dist(c0)) { c =>
+      val cv = MatrixBlock.rand(100, 1, 1.0, 23)
+      assert(MatrixBlock.maxAbsDiff(
+        DistOps.toLocal(DistOps.binaryLocalDist(Mult, cv, c)),
+        LocalOps.binary(Mult, cv, c0)) < 1e-12)
+    }
+  }
   test("distributed matmul with broadcast rhs") {
     withDist(dist(xDense)) { a =>
       val w = MatrixBlock.rand(12, 4, 1.0, 6, min = -1, max = 1)
       val got = DistOps.toLocal(DistOps.matmulDistLocal(a, w))
       assert(MatrixBlock.maxAbsDiff(got, LocalOps.matmul(xDense, w)) < 1e-9)
+    }
+  }
+  test("distributed matmul with broadcast lhs") {
+    withDist(dist(xSparse)) { r =>
+      val l = MatrixBlock.rand(4, 100, 1.0, 24, min = -1, max = 1)
+      assert(MatrixBlock.maxAbsDiff(DistOps.matmulLocalDist(l, r), LocalOps.matmul(l, xSparse)) < 1e-9)
     }
   }
   test("distributed t(X) %*% Z, Z distributed") {
@@ -179,6 +203,13 @@ class DistSpec extends SparkSpec {
       implicit val c: ExecContext = ctx
       val y = ctx.bindLocal("Y", MatrixBlock.rand(100, 12, 1.0, 13, min = -1, max = 1))
       Seq((x ^ 2.0).sum, (x * y).sum)
+    }
+  }
+  test("sum(Y * X) with local Y and distributed X equals local (all modes)") {
+    distVsLocal(1e-8) { (ctx, x) =>
+      implicit val c: ExecContext = ctx
+      val y = ctx.bindLocal("Y", MatrixBlock.rand(100, 12, 1.0, 25, min = -1, max = 1))
+      Seq((y * x).sum)
     }
   }
   test("distributed outer-product operator equals local (Gen)") {
