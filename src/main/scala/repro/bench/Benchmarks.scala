@@ -52,7 +52,7 @@ object Benchmarks {
                               h1 = 64, h2 = 2, batch = 512)),
     )
     algos.map { case (name, run) =>
-      Codegen.clearCache()
+      JavaBackend.clearCache()
       Selector.clearSelectionCache()
       CodegenStats.reset()
       val (_, t) = timeS(run())

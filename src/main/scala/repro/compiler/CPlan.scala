@@ -94,30 +94,6 @@ final case class CPlan(
     rowDim: Long,
 ) {
   def root: Hop = roots.head
-
-  /** Structural key, independent of hop ids and matrix sizes — the plan
-    * cache key (paper §2.1: "identifies equivalent CPlans via hashing").
-    * Generated operators are shape-generic (dimensions are read from the
-    * inputs at runtime), so the same operator serves all data sizes; only
-    * the broadcast class of each input is part of the key. */
-  lazy val structuralKey: String = {
-    def sig(h: Hop, depth: Int): String =
-      if (depth > 32) "..."
-      else if (!covered.contains(h.id)) s"in${inputs.indexWhere(_ eq h)}:${classify(h)}"
-      else h.name + "(" + h.inputs.map(sig(_, depth + 1)).mkString(",") + ")"
-    tpe.name + rowVariant.toString + outerVariant.toString + cellAgg.toString +
-      roots.map(sig(_, 0)).mkString("|") + sparseSafe
-  }
-
-  /** Broadcast class of a side input: scalar, column vector, row vector,
-    * row-aligned matrix, or non-aligned matrix (matmult side). */
-  private def classify(h: Hop): String =
-    if (h.rows == 1 && h.cols == 1) "s"
-    else if (h.cols == 1 && h.rows == rowDim) "c"
-    else if (h.cols == 1) "v"
-    else if (h.rows == 1) "r"
-    else if (h.rows == rowDim) "m"
-    else "w"
 }
 
 object CPlan {
@@ -158,16 +134,14 @@ object CPlan {
       case a: AggHop => (Some((a.func, a.dir)), a.in)
       case h         => (None, h)
     }
-    // main input: prefer a full-dimension input that makes the chain
-    // sparse-safe (the "sparse driver"), sparsest first; else the largest
-    val full = spec.inputs.filter(in => in.rows == chainRoot.rows && in.cols == chainRoot.cols && in.numCells > 1)
-    val safeDrivers = full.filter(in => isSparseSafe(chainRoot, covered, in))
-    val main = safeDrivers.sortBy(_.sparsity).headOption
-      .orElse(full.sortBy(-_.numCells).headOption)
+    // main input: the sparse driver; else the largest full-dimension input
+    val driver = sparseDriver(spec)
+    val main = driver
+      .orElse(fullDim(spec.inputs, chainRoot).sortBy(-_.numCells).headOption)
       .getOrElse(spec.inputs.maxByOption(_.numCells).getOrElse(spec.inputs.head))
     val ordered = main +: spec.inputs.filterNot(_ eq main)
     CPlan(spec.tpe, IndexedSeq(spec.root), covered, ordered,
-      sparseSafe = safeDrivers.exists(_ eq main),
+      sparseSafe = driver.isDefined,
       rowVariant = None, outerVariant = None,
       cellAgg = cellAgg,
       maggFuncs =
@@ -206,15 +180,36 @@ object CPlan {
       maggFuncs = IndexedSeq.empty, rowDim = rowDim)
   }
 
+  /** Output variant and chain root (the cell-wise part) of an Outer plan. */
+  private def outerChain(spec: FusedSpec): (OuterVariant, Hop) = spec.root match {
+    case a: AggHop                      => (OuterFullAgg, a.in)
+    case m: MatMulHop if spec.covered.contains(m.left.id) && m.left.isInstanceOf[TransposeHop] =>
+      (OuterLeftMM, m.left.asInstanceOf[TransposeHop].in)
+    case m: MatMulHop if !TemplateType.isOuterMatMul(m) => (OuterRightMM, m.left)
+    case h => (OuterNoAgg, h)
+  }
+
+  private def fullDim(inputs: Seq[Hop], chainRoot: Hop): Seq[Hop] =
+    inputs.filter(in => in.rows == chainRoot.rows && in.cols == chainRoot.cols && in.numCells > 1)
+
+  /** The sparse driver of a Cell, MAgg or Outer operator: the sparsest
+    * full-dimension input from which the chain is sparse-safe. The
+    * skeleton iterates its non-zeros, so the cost model scales compute by
+    * its sparsity. Row operators have none. */
+  def sparseDriver(spec: FusedSpec): Option[Hop] = {
+    val chainRoot = spec.tpe match {
+      case CellTpl | MAggTpl => spec.root match { case a: AggHop => a.in; case h => h }
+      case OuterTpl          => outerChain(spec)._2
+      case RowTpl            => return None
+    }
+    fullDim(spec.inputs, chainRoot)
+      .filter(in => isSparseSafe(chainRoot, spec.covered.keySet, in))
+      .sortBy(_.sparsity).headOption
+  }
+
   private def constructOuter(spec: FusedSpec): CPlan = {
     val covered = spec.covered.keySet
-    val (variant, chainRoot) = spec.root match {
-      case a: AggHop                      => (OuterFullAgg, a.in)
-      case m: MatMulHop if covered.contains(m.left.id) && m.left.isInstanceOf[TransposeHop] =>
-        (OuterLeftMM, m.left.asInstanceOf[TransposeHop].in)
-      case m: MatMulHop if !TemplateType.isOuterMatMul(m) => (OuterRightMM, m.left)
-      case h => (OuterNoAgg, h)
-    }
+    val (variant, chainRoot) = outerChain(spec)
     // locate the opening outer-product matmult in the covered chain
     val opening = coveredHops(spec.root, covered)
       .collectFirst { case m: MatMulHop if TemplateType.isOuterMatMul(m) => m }
@@ -222,11 +217,7 @@ object CPlan {
     val u = opening.left
     val v = opening.right.asInstanceOf[TransposeHop].in
     // main = the sparse driver: the other operand of a covered mult/div
-    val driver = spec.inputs.filter(in =>
-      in.rows == chainRoot.rows && in.cols == chainRoot.cols &&
-        isSparseSafe(chainRoot, covered, in))
-      .sortBy(_.sparsity).headOption
-      .getOrElse(spec.inputs.head)
+    val driver = sparseDriver(spec).getOrElse(spec.inputs.head)
     val rest = spec.inputs.filterNot(in => (in eq driver) || (in eq u) || (in eq v))
     val ordered = IndexedSeq(driver, u, v) ++ rest
     CPlan(OuterTpl, IndexedSeq(spec.root), covered, ordered,

@@ -1,7 +1,6 @@
 package repro.compiler
 
 import java.util.concurrent.atomic.AtomicLong
-import scala.collection.concurrent.TrieMap
 import scala.collection.mutable
 import repro.core._
 import repro.runtime._
@@ -31,50 +30,34 @@ object CodegenStats {
   * template's `genexec`; data access, multi-threading and aggregation
   * live in the hand-coded skeletons ([[repro.runtime.SpoofCellwise]] et
   * al.). javac is the only backend; a JVM without a system compiler is an
-  * error. The plan cache identifies equivalent CPlans via structural keys
-  * to avoid re-compilation across DAGs and dynamic recompilation (paper
-  * §2.1, §5.3).
+  * error. The class cache of [[repro.runtime.JavaBackend]], keyed by the
+  * generated source, identifies equivalent CPlans and avoids re-compilation
+  * across DAGs and dynamic recompilation (paper §2.1, §5.3). Only classes
+  * are cached: the skeleton's parameters (aggregation, sparse-safety,
+  * variant) are not part of the source, so every call builds the skeleton
+  * fresh from its CPlan.
   */
 object Codegen {
 
-  private val planCache = TrieMap[String, SpoofOperator]()
-
-  def clearCache(): Unit = planCache.clear()
-
   def compile(cplan: CPlan): SpoofOperator = {
-    val key = cplan.structuralKey
-    planCache.get(key) match {
-      case Some(op) =>
-        CodegenStats.planCacheHits.incrementAndGet()
-        op
-      case None =>
-        val t0 = System.nanoTime()
-        val op = doCompile(cplan)
-        CodegenStats.compileNanos.addAndGet(System.nanoTime() - t0)
-        CodegenStats.operatorsCompiled.incrementAndGet()
-        planCache.putIfAbsent(key, op)
-        op
+    val t0 = System.nanoTime()
+    val sources = cplan.tpe match {
+      case CellTpl  => IndexedSeq(cellSource(cplan, chainRootOf(cplan)))
+      case MAggTpl  => cplan.roots.map(r => cellSource(cplan, r.asInstanceOf[AggHop].in))
+      case RowTpl   => IndexedSeq(rowSource(cplan))
+      case OuterTpl => IndexedSeq(outerSource(cplan))
     }
-  }
-
-  private def className(cplan: CPlan): String = {
-    val md = java.security.MessageDigest.getInstance("MD5")
-      .digest(cplan.structuralKey.getBytes("UTF-8"))
-    "GenOp" + md.take(8).map(b => f"$b%02x").mkString
-  }
-
-  private def doCompile(cplan: CPlan): SpoofOperator = {
-    val name = className(cplan)
+    // a miss if this call compiled any class: of several threads compiling
+    // the same new source, only the one that ran javac counts it
+    if (sources.map(JavaBackend.load).contains(true)) {
+      CodegenStats.compileNanos.addAndGet(System.nanoTime() - t0)
+      CodegenStats.operatorsCompiled.incrementAndGet()
+    } else CodegenStats.planCacheHits.incrementAndGet()
     cplan.tpe match {
-      case CellTpl =>
-        new SpoofCellwise(name, cplan.cellAgg, cplan.sparseSafe, cellExec(name, cplan, chainRootOf(cplan)))
-      case MAggTpl =>
-        val execs = cplan.roots.zipWithIndex.map { case (r, k) =>
-          cellExec(s"${name}_$k", cplan, r.asInstanceOf[AggHop].in)
-        }
-        new SpoofMultiAgg(name, cplan.maggFuncs, cplan.sparseSafe, execs)
-      case RowTpl   => compileRow(name, cplan)
-      case OuterTpl => compileOuter(name, cplan)
+      case CellTpl  => new SpoofCellwise(cplan.cellAgg, cplan.sparseSafe, ExecRef(sources.head))
+      case MAggTpl  => new SpoofMultiAgg(cplan.maggFuncs, cplan.sparseSafe, sources.map(ExecRef[CellExec]))
+      case RowTpl   => new SpoofRowwise(cplan.rowVariant.get, ExecRef(sources.head))
+      case OuterTpl => new SpoofOuterProduct(cplan.outerVariant.get, outerChain(cplan)._2, ExecRef(sources.head))
     }
   }
 
@@ -88,12 +71,6 @@ object Codegen {
     if (idx < 0) throw new IllegalStateException(s"input $h not bound in CPlan inputs ${cplan.inputs}")
     idx
   }
-
-  private def lit(v: Double): String =
-    if (v.isNaN) "Double.NaN"
-    else if (v == Double.PositiveInfinity) "Double.POSITIVE_INFINITY"
-    else if (v == Double.NegativeInfinity) "Double.NEGATIVE_INFINITY"
-    else v.toString
 
   private def unaryJava(op: UnaryOp, x: String): String = op match {
     case Exp     => s"Math.exp($x)"
@@ -141,30 +118,19 @@ object Codegen {
     }
   }
 
-  /** Compile eagerly (inside `compile`'s timer); instances are created
-    * per thread by [[ExecRef.get]]. */
-  private def compiled[T <: AnyRef](name: String, source: String): ExecRef[T] = {
-    JavaBackend.compileClass(name, source)
-    ExecRef[T](name, source)
-  }
-
-  private def header(name: String, parent: String): String =
-    s"""package repro.codegen;
-       |import repro.runtime.MatrixBlock;
-       |import repro.runtime.VectorPrims;
-       |public final class $name extends repro.runtime.$parent {
-       |""".stripMargin
+  private def header(parent: String): String =
+    "package repro.codegen;\nimport repro.runtime.MatrixBlock;\nimport repro.runtime.VectorPrims;\n" +
+      s"public final class ${JavaBackend.ClassName} extends repro.runtime.$parent {\n"
 
   // ---------------------------------------------------------------- Cell
 
-  private def cellExec(name: String, cplan: CPlan, chainRoot: Hop): ExecRef[CellExec] = {
+  private def cellSource(cplan: CPlan, chainRoot: Hop): String = {
     val src = new Src
     val root = emitCell(chainRoot, cplan, src)
-    val source = header(name, "CellExec") +
+    header("CellExec") +
       "  public double genexec(double a, MatrixBlock[] b, int rix, int cix) {\n" +
       src.body.toString +
       s"    return $root;\n  }\n}\n"
-    compiled(name, source)
   }
 
   /** Emit SSA-style Java for a cell chain; returns the value expression. */
@@ -206,12 +172,7 @@ object Codegen {
 
   // ----------------------------------------------------------------- Row
 
-  /** Static value kind of a Row-chain node: per-row scalar or row vector
-    * of a statically known length. */
-  private def rowIsScalar(h: Hop, cplan: CPlan): Boolean =
-    h.cols == 1 || (h.rows == 1 && h.cols == 1)
-
-  private def compileRow(name: String, cplan: CPlan): SpoofRowwise = {
+  private def rowSource(cplan: CPlan): String = {
     val variant = cplan.rowVariant.get
     val root = cplan.root
 
@@ -244,8 +205,8 @@ object Codegen {
       case RowRowAgg =>
         val in = root match { case a: AggHop => a.in; case h => h }
         root match {
-          case a: AggHop if !rowIsScalar(in, cplan) =>
-            // aggregate a row vector with the agg function
+          case a: AggHop if in.cols != 1 =>
+            // aggregate a row vector (not a per-row scalar) with the agg function
             val src = new Src("S")
             val vecV = emitRowVec(in, cplan, src)
             val t = src.fresh()
@@ -267,8 +228,7 @@ object Codegen {
         val m = root.asInstanceOf[MatMulHop]
         vecMethod("genexecVec2", m.left) + vecMethod("genexecVec", m.right)
     }
-    val source = header(name, "RowExec") + allFields.toString + methods + "}\n"
-    new SpoofRowwise(name, variant, compiled(name, source))
+    header("RowExec") + allFields.toString + methods + "}\n"
   }
 
   /** Emit a Row-chain node; Left(var) = vector, Right(expr) = scalar. */
@@ -395,15 +355,18 @@ object Codegen {
 
   // --------------------------------------------------------------- Outer
 
-  private def compileOuter(name: String, cplan: CPlan): SpoofOuterProduct = {
-    val variant = cplan.outerVariant.get
-    val (chainRoot, wIdx) = cplan.root match {
-      case a: AggHop => (a.in, -1)
-      case m: MatMulHop if variant == OuterLeftMM =>
-        (m.left.asInstanceOf[TransposeHop].in, inputIndex(m.right, cplan))
-      case m: MatMulHop if variant == OuterRightMM => (m.left, inputIndex(m.right, cplan))
-      case h => (h, -1)
-    }
+  /** The Outer chain root and the input index of its matmult rhs W (-1
+    * without one). */
+  private def outerChain(cplan: CPlan): (Hop, Int) = cplan.root match {
+    case a: AggHop => (a.in, -1)
+    case m: MatMulHop if cplan.outerVariant.contains(OuterLeftMM) =>
+      (m.left.asInstanceOf[TransposeHop].in, inputIndex(m.right, cplan))
+    case m: MatMulHop if cplan.outerVariant.contains(OuterRightMM) => (m.left, inputIndex(m.right, cplan))
+    case h => (h, -1)
+  }
+
+  private def outerSource(cplan: CPlan): String = {
+    val chainRoot = outerChain(cplan)._1
     val opening = CPlan.coveredHops(chainRoot, cplan.covered)
       .collectFirst { case m: MatMulHop if TemplateType.isOuterMatMul(m) => m }
       .getOrElse(throw new IllegalStateException("Outer plan without opening matmult"))
@@ -411,11 +374,10 @@ object Codegen {
     val src = new Src
     src.line("int R_ = b[2].cols();") // rank, read from V at runtime
     val root = emitOuter(chainRoot, cplan, opening, src)
-    val source = header(name, "OuterExec") +
+    header("OuterExec") +
       "  public double genexec(double x, double[] u, double[] v, MatrixBlock[] b, int rix, int cix) {\n" +
       src.body.toString +
       s"    return $root;\n  }\n}\n"
-    new SpoofOuterProduct(name, variant, wIdx, compiled(name, source))
   }
 
   private def emitOuter(h: Hop, cplan: CPlan, opening: MatMulHop, src: Src): String = {

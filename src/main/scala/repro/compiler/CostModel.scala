@@ -118,26 +118,10 @@ object CostModel {
   private def coveredFlops(spec: FusedSpec): Double =
     CPlan.coveredHops(spec.root, spec.covered.keySet).map(flops).sum
 
-  /** Sparsity-exploiting operators scale compute by the driver sparsity. */
-  def sparsityScale(spec: FusedSpec): Double = spec.tpe match {
-    case OuterTpl =>
-      // driver = the sparse-safe, full-dimension input
-      val chainRoot = spec.root match {
-        case a: AggHop    => a.in
-        case m: MatMulHop if !TemplateType.isOuterMatMul(m) =>
-          m.left match { case t: TransposeHop if spec.covered.contains(t.id) => t.in; case l => l }
-        case h => h
-      }
-      spec.inputs.find(in => in.rows == chainRoot.rows && in.cols == chainRoot.cols &&
-          CPlan.isSparseSafe(chainRoot, spec.covered.keySet, in))
-        .map(d => math.max(d.sparsity, 1e-9)).getOrElse(1.0)
-    case CellTpl | MAggTpl =>
-      val chainRoot = spec.root match { case a: AggHop => a.in; case h => h }
-      val full = spec.inputs.filter(in => in.rows == chainRoot.rows && in.cols == chainRoot.cols && in.numCells > 1)
-      val safe = full.filter(in => CPlan.isSparseSafe(chainRoot, spec.covered.keySet, in))
-      safe.map(_.sparsity).minOption.getOrElse(1.0)
-    case _ => 1.0
-  }
+  /** Sparsity-exploiting operators scale compute by the sparsity of the
+    * sparse driver that [[CPlan.construct]] binds as their main input. */
+  def sparsityScale(spec: FusedSpec): Double =
+    CPlan.sparseDriver(spec).map(d => math.max(d.sparsity, 1e-9)).getOrElse(1.0)
 
   /** Cost of the full plan, optionally restricted to operators touching
     * `scope` (a plan partition), with early exit once the running cost

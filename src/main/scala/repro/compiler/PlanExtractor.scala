@@ -128,7 +128,6 @@ object PlanExtractor {
       case _ => None
     }
     val result = mutable.ArrayBuffer[POp]()
-    val pending = mutable.ArrayBuffer[FusedSpec]()
     val mergedAt = mutable.Map[Int, mutable.ArrayBuffer[FusedSpec]]()
 
     ops.foreach { op =>
@@ -147,7 +146,6 @@ object PlanExtractor {
               mergedAt(result.size) = g
               result += null // placeholder, filled below
           }
-          pending += spec
         case None =>
           result += op
       }

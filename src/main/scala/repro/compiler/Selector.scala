@@ -23,22 +23,25 @@ object Selector {
   val MaxPoints = 10
 
   /** Selection cache: optimal materialization decisions per structural DAG
-    * signature. Iterative algorithms recompile the same DAG shape every
-    * iteration (dynamic recompilation); the decisions carry over because
-    * hop ids are remapped through the deterministic topological order.
-    * This extends the paper's plan cache (§2.1) from generated operators
-    * to plan selections. */
+    * signature and cost configuration. Iterative algorithms recompile the
+    * same DAG shape every iteration (dynamic recompilation); the decisions
+    * carry over because hop ids are remapped through the deterministic
+    * topological order. This extends the paper's plan cache (§2.1) from
+    * generated operators to plan selections. */
   private val selectionCache = scala.collection.concurrent.TrieMap[String, Set[(Int, Int)]]()
 
   def clearSelectionCache(): Unit = selectionCache.clear()
 
-  private def dagSignature(topo: Seq[Hop]): String = {
+  /** Everything the selection depends on: the cost configuration, and per
+    * hop its operator, dimensions, sparsity bucket, inputs and, for a
+    * leaf, whether it is bound to distributed data. */
+  private def dagSignature(topo: Seq[Hop], cfg: CostConfig): String = {
     val idx = topo.zipWithIndex.map { case (h, i) => h.id -> i }.toMap
-    val sb = new StringBuilder
+    val sb = new StringBuilder(cfg.toString).append('|')
     topo.foreach { h =>
       val nm = h match {
         case _: LitHop      => "lit" // scalar values never change the plan shape
-        case _: LeafHop     => "leaf"
+        case l: LeafHop     => if (l.forceDistributed) "dleaf" else "leaf"
         case _: RowSliceHop => "rix" // slice bounds don't either (mini-batching)
         case _              => h.name
       }
@@ -69,7 +72,7 @@ object Selector {
       case CostBased =>
         val topo = Hop.collect(dagRoots)
         val idToIdx = topo.zipWithIndex.map { case (h, i) => h.id -> i }.toMap
-        val sig = dagSignature(topo)
+        val sig = dagSignature(topo, cfg)
         val edges: Set[(Long, Long)] = selectionCache.get(sig) match {
           case Some(posEdges) =>
             posEdges.map { case (c, t) => (topo(c).id, topo(t).id) }

@@ -27,20 +27,24 @@ abstract class OuterExec extends Serializable {
               b: Array[MatrixBlock], rix: Int, cix: Int): Double
 }
 
-/** A serializable reference to a generated genexec: its class name and
-  * Java source. The distributed runtime ships operators to executors,
-  * where `get` recompiles the source once per JVM through the class
-  * cache. */
-final case class ExecRef[T <: AnyRef](className: String, source: String) {
+/** A serializable reference to a generated genexec: its Java source. The
+  * distributed runtime ships operators to executors, where `get` compiles
+  * the source once per JVM through the class cache. */
+final case class ExecRef[T <: AnyRef](source: String) {
   /** Generated classes carry reusable row buffers, so each thread gets its
     * own instance. */
-  def get: T = JavaBackend.threadInstance(className, source).asInstanceOf[T]
+  def get: T = JavaBackend.threadInstance(source).asInstanceOf[T]
 }
 
 /** In-memory Java compilation of generated operators — the paper's javac
   * path (Fig. 11; janino is not available offline, javac ships with the
-  * JDK). Compiled classes are cached per JVM, instances per thread. */
+  * JDK). Compiled classes are cached per JVM, keyed by their source, and
+  * instances per thread. */
 object JavaBackend {
+
+  /** Every generated class is `repro.codegen.GenOp`, each defined in its
+    * own class loader, so its source alone identifies it. */
+  val ClassName = "GenOp"
 
   private lazy val compiler: JavaCompiler = {
     val c = ToolProvider.getSystemJavaCompiler
@@ -52,22 +56,31 @@ object JavaBackend {
 
   private val classCache = TrieMap[String, Class[_]]()
 
+  /** Forget every compiled class (tests and benchmarks, between runs). */
+  def clearCache(): Unit = classCache.clear()
+
   private val threadInsts = new ThreadLocal[java.util.HashMap[String, AnyRef]] {
     override def initialValue() = new java.util.HashMap[String, AnyRef]()
   }
   /** Per-thread instance (generated operators hold per-row ring buffers). */
-  def threadInstance(className: String, source: String): AnyRef = {
+  def threadInstance(source: String): AnyRef = {
     val m = threadInsts.get()
-    var inst = m.get(className)
+    var inst = m.get(source)
     if (inst == null) {
-      inst = compileClass(className, source).getDeclaredConstructor().newInstance().asInstanceOf[AnyRef]
-      m.put(className, inst)
+      load(source)
+      inst = classCache(source).getDeclaredConstructor().newInstance().asInstanceOf[AnyRef]
+      m.put(source, inst)
     }
     inst
   }
 
-  def compileClass(className: String, source: String): Class[_] =
-    classCache.getOrElseUpdate(className, doCompile(className, source))
+  /** Make `source`'s class available; true iff this call ran javac for it.
+    * Exactly one of several concurrent callers with the same new source
+    * compiles it. */
+  def load(source: String): Boolean =
+    !classCache.contains(source) && synchronized {
+      !classCache.contains(source) && { classCache.put(source, doCompile(source)); true }
+    }
 
   private final class MemSource(name: String, code: String)
     extends SimpleJavaFileObject(URI.create(s"string:///repro/codegen/$name.java"), JavaFileObject.Kind.SOURCE) {
@@ -84,7 +97,7 @@ object JavaBackend {
   private lazy val stdFm: StandardJavaFileManager =
     compiler.getStandardFileManager(null, null, null)
 
-  private def doCompile(className: String, source: String): Class[_] = synchronized {
+  private def doCompile(source: String): Class[_] = {
     val diag = new DiagnosticCollector[JavaFileObject]()
     val outputs = TrieMap[String, MemClass]()
     val fm = new ForwardingJavaFileManager[JavaFileManager](stdFm) {
@@ -98,7 +111,7 @@ object JavaBackend {
     // javac resolves the repro.runtime supertypes from this JVM's classpath
     val options = List("-classpath", sys.props.getOrElse("java.class.path", "")).asJava
     val task = compiler.getTask(null, fm, diag, options, null,
-      List[JavaFileObject](new MemSource(className, source)).asJava)
+      List[JavaFileObject](new MemSource(ClassName, source)).asJava)
     if (!task.call())
       throw new IllegalStateException(
         "javac failed:\n" + diag.getDiagnostics.asScala.mkString("\n") + "\n--- source ---\n" + source)
@@ -112,6 +125,6 @@ object JavaBackend {
           case None => throw new ClassNotFoundException(name)
         }
     }
-    loader.loadClass(s"repro.codegen.$className")
+    loader.loadClass(s"repro.codegen.$ClassName")
   }
 }

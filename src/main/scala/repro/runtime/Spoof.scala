@@ -12,8 +12,8 @@ import repro.runtime.Ops._
   * per-operator instruction footprint small.
   *
   * Each skeleton executes one local [[MatrixBlock]]; the distributed
-  * runtime invokes the same skeletons per row-block inside `mapGroups`
-  * and combines partial aggregates.
+  * runtime invokes the same skeletons per row block through
+  * `DistOps.mapBlocks` / `reduceBlocks` and combines partial aggregates.
   */
 object Spoof {
   /** Densify side inputs for O(1) access (stateless `get` over sparse
@@ -33,7 +33,6 @@ object Spoof {
 }
 
 sealed trait SpoofOperator extends Serializable {
-  def name: String
   /** Execute over local blocks; inputs ordered as in the CPlan (main
     * first). Aggregating operators return their aggregate (MAgg: 1 x k). */
   def execute(inputs: IndexedSeq[MatrixBlock]): MatrixBlock
@@ -42,7 +41,6 @@ sealed trait SpoofOperator extends Serializable {
 /** Cell template skeleton: iterates cells (or non-zeros when sparse-safe;
   * or dictionary entries of compressed inputs) of the main input. */
 final class SpoofCellwise(
-    val name: String,
     val agg: Option[(AggFunc, AggDir)],
     val sparseSafe: Boolean,
     val exec: ExecRef[CellExec],
@@ -203,7 +201,6 @@ final class SpoofCellwise(
 /** Multi-aggregate skeleton: k full aggregates over shared inputs computed
   * in one pass over the main input; output is 1 x k. */
 final class SpoofMultiAgg(
-    val name: String,
     val funcs: IndexedSeq[AggFunc],
     val sparseSafe: Boolean,
     val execs: IndexedSeq[ExecRef[CellExec]],
@@ -254,7 +251,6 @@ final class SpoofMultiAgg(
   * main input; the generated row program returns a row vector or scalar,
   * accumulated according to the row variant. */
 final class SpoofRowwise(
-    val name: String,
     val variant: RowVariant,
     val exec: ExecRef[RowExec],
 ) extends SpoofOperator {
@@ -345,7 +341,6 @@ final class SpoofRowwise(
 /** Outer-product template skeleton: iterates (non-zero) cells of the
   * driver X with row access to the factors U and V (paper Fig. 3(a)). */
 final class SpoofOuterProduct(
-    val name: String,
     val variant: OuterVariant,
     /** Index of the closing matmult's other operand W in the inputs (MM variants). */
     val wIdx: Int,

@@ -309,9 +309,9 @@ class CodegenSpec extends SparkSpec {
     assert(MatrixBlock.maxAbsDiff(copy.execute(blocks), op.execute(blocks)) == 0.0)
   }
 
-  // ---- plan cache -------------------------------------------------------
+  // ---- class cache keyed by generated source ----------------------------
   test("plan cache hits on repeated identical DAGs") {
-    Codegen.clearCache()
+    JavaBackend.clearCache()
     CodegenStats.reset()
     def once(): Unit = {
       val ctx = new ExecContext(GenMode(CostBased))
@@ -325,5 +325,29 @@ class CodegenSpec extends SparkSpec {
     assert(CodegenStats.operatorsCompiled.get() == compiledAfter1,
       "identical DAGs must not recompile operators")
     assert(CodegenStats.planCacheHits.get() >= 2)
+  }
+
+  test("40-deep cell chains that differ only at the bottom each equal Base") {
+    for (f <- Seq[MX => MX](_.exp, _.log))
+      TestLA.modesAgree(Seq(BaseMode, GenMode(CostBased)), tol = 1e-6) { implicit ctx =>
+        val x = ctx.bindLocal("X", pos(30, 20, 58))
+        Seq((1 to 40).foldLeft(f(x))((m, _) => m + 1.0).sum)
+      }
+  }
+
+  test("one generated class serves CPlans with different skeleton parameters") {
+    def run(x: MatrixBlock, agg: MX => MX): Unit =
+      TestLA.modesAgree(Seq(BaseMode, GenMode(CostBased))) { implicit ctx =>
+        Seq(agg(ctx.bindLocal("X", x) * ctx.bindLocal("Y", dense(40, 30, 60))))
+      }
+    JavaBackend.clearCache()
+    CodegenStats.reset()
+    run(sparse(40, 30, 59), _.sum)
+    assert(CodegenStats.operatorsCompiled.get() == 1 && CodegenStats.planCacheHits.get() == 0)
+    // the same cell body over a dense main input, with a Cell skeleton
+    // (no aggregation) instead of a multi-aggregate one
+    run(dense(40, 30, 59), identity)
+    assert(CodegenStats.operatorsCompiled.get() == 1, "the second operator must reuse the first one's class")
+    assert(CodegenStats.planCacheHits.get() == 1)
   }
 }

@@ -183,4 +183,38 @@ class SelectorSpec extends SparkSpec {
     assert(!memo.entries(roots.head.id).exists(_.tpe == RowTpl),
       "Row entries over wide distributed inputs must be removed")
   }
+
+  test("selection cache keys on the cost configuration and leaf placement") {
+    // MLogreg-style DAG: p = exp(X %*% w); q = p / rowSums(p)
+    def dag(xDistributed: Boolean): Seq[Hop] = {
+      implicit val cc: ExecContext = ctx
+      val x = new MX(new LeafHop("X", 2000, 20, 1.0, forceDistributed = xDistributed))
+      val w = new MX(new LeafHop("w", 20, 4, 1.0))
+      val y = new MX(new LeafHop("Y", 2000, 4, 1.0))
+      val p = (x %*% w).exp
+      val q = p / p.rowSums
+      Seq((x.t %*% (q - y)).hop, (q * y).sum.hop, (q ^ 2.0).colSums.hop)
+    }
+    val settings = Seq(
+      ("default", CostConfig(), false),
+      ("1 KB local budget", CostConfig(localMemBudget = 1024), false),
+      ("slow compute", CostConfig(computeBandwidth = 1e6), false),
+      ("slow memory", CostConfig(readBandwidth = 1e6, writeBandwidth = 1e6), false),
+      ("distributed X", CostConfig(), true),
+    ).map { case (label, cfg, xDist) => (label, cfg, dag(xDist)) }
+    def select(cfg: CostConfig, roots: Seq[Hop]): ExecPlan =
+      Selector.select(roots, Explorer.explore(roots), CostBased, cfg)
+    val stale = for {
+      (labelA, cfgA, rootsA) <- settings
+      (labelB, cfgB, rootsB) <- settings if labelB != labelA
+    } yield {
+      Selector.clearSelectionCache()
+      val fresh = select(cfgB, rootsB)
+      Selector.clearSelectionCache()
+      select(cfgA, rootsA)
+      Option.when(select(cfgB, rootsB) != fresh)(s"$labelA, then $labelB")
+    }
+    Selector.clearSelectionCache()
+    assert(stale.flatten.isEmpty, "reused a stale selection: " + stale.flatten.mkString("; "))
+  }
 }
