@@ -2,6 +2,7 @@ package repro.algos
 
 import repro.core._
 import repro.runtime._
+import Vec._
 
 /** Alternating least squares via conjugate gradient (SystemML `ALS-CG`,
   * Table 2: rank 20, weighted-L2, lambda=1e-3).
@@ -57,10 +58,10 @@ object ALSCG {
       else ((X.neq0 * (oB %*% fB.t)).t %*% oB) - (X.t %*% oB) + fB * lambda
     val g = ctx.eval(Seq(gradExpr)).head.toLocal
 
-    var r = negate(g)
+    var r = axpy(g, g, -2.0) // r = -g
     var p = r
     var d = MatrixBlock.zeros(f.rows, f.cols): MatrixBlock
-    var rs = frob2(r)
+    var rs = dot(r, r)
     var cg = 0
     while (cg < cgIter && rs > 1e-18) {
       val pB = ctx.bindLocal(s"p$tag${iter}_$cg", p)
@@ -68,29 +69,14 @@ object ALSCG {
         if (updateU) ((X.neq0 * (pB %*% oB.t)) %*% oB) + pB * lambda
         else ((X.neq0 * (oB %*% pB.t)).t %*% oB) + pB * lambda
       val hv = ctx.eval(Seq(hvExpr)).head.toLocal
-      val alpha = rs / math.max(dotAll(p, hv), 1e-18)
+      val alpha = rs / math.max(dot(p, hv), 1e-18)
       d = axpy(d, p, alpha)
       r = axpy(r, hv, -alpha)
-      val rsNew = frob2(r)
+      val rsNew = dot(r, r)
       p = axpy(r, p, rsNew / math.max(rs, 1e-18))
       rs = rsNew
       cg += 1
     }
-    axpy(f, d, 1.0).toDense
+    axpy(f, d, 1.0)
   }
-
-  private def frob2(a: MatrixBlock): Double = {
-    var s = 0.0; var i = 0
-    while (i < a.rows) { var j = 0; while (j < a.cols) { val x = a.get(i, j); s += x * x; j += 1 }; i += 1 }
-    s
-  }
-  private def dotAll(a: MatrixBlock, b: MatrixBlock): Double = {
-    var s = 0.0; var i = 0
-    while (i < a.rows) { var j = 0; while (j < a.cols) { s += a.get(i, j) * b.get(i, j); j += 1 }; i += 1 }
-    s
-  }
-  private def axpy(a: MatrixBlock, b: MatrixBlock, scale: Double): MatrixBlock =
-    MatrixBlock.tabulate(a.rows, a.cols)((i, j) => a.get(i, j) + scale * b.get(i, j))
-  private def negate(a: MatrixBlock): MatrixBlock =
-    MatrixBlock.tabulate(a.rows, a.cols)((i, j) => -a.get(i, j))
 }

@@ -2,6 +2,7 @@ package repro.algos
 
 import repro.core._
 import repro.runtime._
+import Vec._
 
 /** Two-hidden-layer autoencoder with mini-batch SGD (SystemML
   * `staging/autoencoder-2layer`, Table 2: batch 512, H1=500, H2=2,
@@ -61,15 +62,12 @@ object AutoEncoder {
 
       val res = ctx.eval(Seq(lossExpr, gw1, gb1, gw2, gb2, gw3, gb3, gw4, gb4)).map(_.toLocal)
       loss = res(0).get(0, 0)
-      w1 = axpy(w1, res(1), -eta); b1 = axpy(b1, res(2), -eta).toDense
-      w2 = axpy(w2, res(3), -eta); b2 = axpy(b2, res(4), -eta).toDense
-      w3 = axpy(w3, res(5), -eta); b3 = axpy(b3, res(6), -eta).toDense
-      w4 = axpy(w4, res(7), -eta); b4 = axpy(b4, res(8), -eta).toDense
+      w1 = axpy(w1, res(1), -eta); b1 = axpy(b1, res(2), -eta)
+      w2 = axpy(w2, res(3), -eta); b2 = axpy(b2, res(4), -eta)
+      w3 = axpy(w3, res(5), -eta); b3 = axpy(b3, res(6), -eta)
+      w4 = axpy(w4, res(7), -eta); b4 = axpy(b4, res(8), -eta)
       it += 1
     }
     AlgoRun("AutoEncoder", it, loss)
   }
-
-  private def axpy(a: MatrixBlock, b: MatrixBlock, scale: Double): DenseBlock =
-    MatrixBlock.tabulate(a.rows, a.cols)((i, j) => a.get(i, j) + scale * b.get(i, j))
 }

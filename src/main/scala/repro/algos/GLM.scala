@@ -2,6 +2,7 @@ package repro.algos
 
 import repro.core._
 import repro.runtime._
+import Vec._
 
 /** GLM with binomial-probit link (SystemML `GLM` binprobit, Table 2:
   * lambda=1e-3, 20 outer / 10 inner iterations), as iteratively
@@ -62,13 +63,4 @@ object GLM {
     }
     AlgoRun("GLM", iter, dev)
   }
-
-  private def dot(a: MatrixBlock, b: MatrixBlock): Double = {
-    var s = 0.0
-    var i = 0
-    while (i < a.rows) { s += a.get(i, 0) * b.get(i, 0); i += 1 }
-    s
-  }
-  private def axpy(a: MatrixBlock, b: MatrixBlock, scale: Double): MatrixBlock =
-    MatrixBlock.tabulate(a.rows, 1)((i, _) => a.get(i, 0) + scale * b.get(i, 0))
 }

@@ -2,6 +2,7 @@ package repro.algos
 
 import repro.core._
 import repro.runtime._
+import Vec._
 
 /** L2-regularized squared-hinge-loss SVM (SystemML `l2-svm`, Table 2:
   * lambda=1e-3, eps=1e-12, 20 outer / unbounded inner iterations).
@@ -35,7 +36,6 @@ object L2SVM {
     var iter = 0
     var converged = false
     while (iter < maxIter && !converged) {
-      val wB  = ctx.bindLocal(s"w$iter", w)
       val sB  = ctx.bindLocal(s"s$iter", s)
       val xwB = ctx.bindLocal(s"xw$iter", xw)
 
@@ -65,8 +65,8 @@ object L2SVM {
       }
 
       // model update + new gradient (one DAG with multiple roots)
-      w = add(w, s, stepSz)
-      xw = add(xw, xd.toLocal, stepSz)
+      w = axpy(w, s, stepSz)
+      xw = axpy(xw, xd.toLocal, stepSz)
       val wB2  = ctx.bindLocal(s"w2$iter", w)
       val xwB2 = ctx.bindLocal(s"xw2$iter", xw)
       val out = MX.lit(1.0) - Y * xwB2
@@ -89,14 +89,4 @@ object L2SVM {
     }
     AlgoRun("L2SVM", iter, obj)
   }
-
-  private def dot(a: MatrixBlock, b: MatrixBlock): Double = {
-    var acc = 0.0
-    var i = 0
-    while (i < a.rows) { acc += a.get(i, 0) * b.get(i, 0); i += 1 }
-    acc
-  }
-
-  private def add(a: MatrixBlock, b: MatrixBlock, scale: Double): MatrixBlock =
-    MatrixBlock.tabulate(a.rows, 1)((i, _) => a.get(i, 0) + scale * b.get(i, 0))
 }

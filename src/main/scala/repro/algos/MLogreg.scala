@@ -2,6 +2,7 @@ package repro.algos
 
 import repro.core._
 import repro.runtime._
+import Vec._
 
 /** Multinomial logistic regression via Newton-CG (SystemML `MultiLogReg`,
   * Table 2: 2/5 classes, 20 outer / 10 inner iterations).
@@ -53,24 +54,24 @@ object MLogreg {
 
         // CG solve (X' W X + lambda I) d = -G with Eq. (2) Hessian-vector products
         var d = MatrixBlock.zeros(m, k1): MatrixBlock
-        var r = scaleAdd(g, g, -2.0) // r = -g
+        var r = axpy(g, g, -2.0) // r = -g
         var pDir = r
-        var rs = frob2(r)
+        var rs = dot(r, r)
         var cg = 0
         while (cg < innerIter && rs > 1e-16) {
           val vB = ctx.bindLocal(s"V${iter}_$cg", pDir)
           val q = P * (X %*% vB)
           val hvExpr = (X.t %*% (q - P * q.rowSums)) + vB * lambda
           val hv = ctx.eval(Seq(hvExpr)).head.toLocal
-          val alpha = rs / math.max(dotAll(pDir, hv), 1e-16)
-          d = scaleAdd(d, pDir, alpha)
-          r = scaleAdd(r, hv, -alpha)
-          val rsNew = frob2(r)
-          pDir = scaleAdd(r, pDir, rsNew / math.max(rs, 1e-16), firstScale = 1.0)
+          val alpha = rs / math.max(dot(pDir, hv), 1e-16)
+          d = axpy(d, pDir, alpha)
+          r = axpy(r, hv, -alpha)
+          val rsNew = dot(r, r)
+          pDir = axpy(r, pDir, rsNew / math.max(rs, 1e-16))
           rs = rsNew
           cg += 1
         }
-        b = scaleAdd(b, d, step)
+        b = axpy(b, d, step)
         iter += 1
       }
       AlgoRun("MLogreg", iter, loss)
@@ -79,20 +80,4 @@ object MLogreg {
       case _            =>
     }
   }
-
-  private def frob2(a: MatrixBlock): Double = {
-    var s = 0.0
-    var i = 0
-    while (i < a.rows) { var j = 0; while (j < a.cols) { val v = a.get(i, j); s += v * v; j += 1 }; i += 1 }
-    s
-  }
-  private def dotAll(a: MatrixBlock, b: MatrixBlock): Double = {
-    var s = 0.0
-    var i = 0
-    while (i < a.rows) { var j = 0; while (j < a.cols) { s += a.get(i, j) * b.get(i, j); j += 1 }; i += 1 }
-    s
-  }
-  /** firstScale * a + scale * b. */
-  private def scaleAdd(a: MatrixBlock, b: MatrixBlock, scale: Double, firstScale: Double = 1.0): MatrixBlock =
-    MatrixBlock.tabulate(a.rows, a.cols)((i, j) => firstScale * a.get(i, j) + scale * b.get(i, j))
 }

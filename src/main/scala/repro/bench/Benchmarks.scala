@@ -120,13 +120,13 @@ object Benchmarks {
   }
 
   /** Table 4: data-intensive algorithms, single node. */
-  def table4(scale: Int = 1): Seq[RuntimeRow] = {
+  def table4(): Seq[RuntimeRow] = {
     val sizes = Seq(
-      ("10^4 x 10", () => AlgoData.denseFeatures(10_000 * scale, 10)),
-      ("10^5 x 10", () => AlgoData.denseFeatures(100_000 * scale, 10)),
-      ("10^6 x 10", () => AlgoData.denseFeatures(1_000_000 * scale, 10)),
-      ("AirlineLike", () => AlgoData.airlineLike(200_000 * scale)),
-      ("MnistLike", () => AlgoData.mnistLike(20_000 * scale)),
+      ("10^4 x 10", () => AlgoData.denseFeatures(10_000, 10)),
+      ("10^5 x 10", () => AlgoData.denseFeatures(100_000, 10)),
+      ("10^6 x 10", () => AlgoData.denseFeatures(1_000_000, 10)),
+      ("AirlineLike", () => AlgoData.airlineLike(200_000)),
+      ("MnistLike", () => AlgoData.mnistLike(20_000)),
     )
     val local = (m: ExecMode) => new ExecContext(m)
     sizes.flatMap { case (label, mk) =>
@@ -156,7 +156,7 @@ object Benchmarks {
   }
 
   /** Table 5: compute-intensive algorithms (ALS-CG sparse, AutoEncoder dense). */
-  def table5(scale: Int = 1): Seq[RuntimeRow] = {
+  def table5(): Seq[RuntimeRow] = {
     val local = (m: ExecMode) => new ExecContext(m)
     // Base/FA/FNR materialize the dense n x m intermediate: infeasible
     // beyond ~3e7 cells on this box (paper: "N/A")
@@ -164,11 +164,11 @@ object Benchmarks {
       cells > 20_000_000L && (label == "Base" || label == "Gen-FA" || label == "Gen-FNR")
 
     val alsSizes = Seq(
-      ("10^3 x 10^3",   1_000 * scale,  1_000 * scale, 0.01),
-      ("3k x 3k",       3_000 * scale,  3_000 * scale, 0.01),
-      ("10^4 x 10^4",  10_000 * scale, 10_000 * scale, 0.01),
-      ("NetflixLike",   8_000 * scale,  4_000 * scale, 0.012),
-      ("AmazonLike",   40_000 * scale, 20_000 * scale, 0.00012),
+      ("10^3 x 10^3",   1_000,  1_000, 0.01),
+      ("3k x 3k",       3_000,  3_000, 0.01),
+      ("10^4 x 10^4",  10_000, 10_000, 0.01),
+      ("NetflixLike",   8_000,  4_000, 0.012),
+      ("AmazonLike",   40_000, 20_000, 0.00012),
     )
     val alsWarm = AlgoData.ratingsLike(400, 300, 0.05)
     val als = alsSizes.map { case (label, n, m, sp) =>
@@ -179,9 +179,9 @@ object Benchmarks {
           warm = c => ALSCG.run(c, LocalData(alsWarm), rank = 20, outerIter = 1, cgIter = 1)))
     }
     val aeSizes = Seq(
-      ("10^3 x 128", 1_000 * scale),
-      ("4k x 128",   4_096 * scale),
-      ("16k x 128", 16_384 * scale),
+      ("10^3 x 128", 1_000),
+      ("4k x 128",   4_096),
+      ("16k x 128", 16_384),
     )
     val ae = aeSizes.map { case (label, n) =>
       val x = AlgoData.denseFeatures(n, 128)
@@ -195,12 +195,12 @@ object Benchmarks {
   }
 
   /** Table 6: distributed algorithms (X as Dataset[BlockRow] on Spark). */
-  def table6(spark: SparkSession, scale: Int = 1): Seq[RuntimeRow] = {
+  def table6(spark: SparkSession): Seq[RuntimeRow] = {
     val blockSize = 4096
     val datasets = Seq(
-      ("D-like dense", () => AlgoData.denseFeatures(50_000 * scale, 100)),
-      ("S-like sparse", () => AlgoData.sparseFeatures(40_000 * scale, 500, 0.05)),
-      ("MnistLike", () => AlgoData.mnistLike(20_000 * scale)),
+      ("D-like dense", () => AlgoData.denseFeatures(50_000, 100)),
+      ("S-like sparse", () => AlgoData.sparseFeatures(40_000, 500, 0.05)),
+      ("MnistLike", () => AlgoData.mnistLike(20_000)),
     )
     // X stays distributed; intermediates above ~1 MB go distributed too
     val cfg = CostConfig(localMemBudget = 1L << 20)

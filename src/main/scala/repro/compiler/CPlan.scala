@@ -1,5 +1,6 @@
 package repro.compiler
 
+import scala.collection.mutable
 import repro.core._
 import repro.runtime.Ops._
 
@@ -61,6 +62,29 @@ final case class ExecPlan(ops: Seq[POp]) {
   }.mkString("ExecPlan(\n", "\n", "\n)")
 }
 
+object ExecPlan {
+
+  /** The one walk from DAG roots to ordered operators, shared by every
+    * mode: each materialized hop is offered to `choose`; a claimed
+    * operator's inputs are materialized next, an unclaimed hop becomes a
+    * [[PBasic]]. Operators come out sorted by the topological index of
+    * their last output, so producers precede consumers. */
+  def build(roots: Seq[Hop])(choose: Hop => Option[POp]): Seq[POp] = {
+    val produced = mutable.Map[Long, POp]()
+    val stack = mutable.Stack[Hop](roots: _*)
+    while (stack.nonEmpty) {
+      val h = stack.pop()
+      if (!produced.contains(h.id) && !h.isInstanceOf[LeafHop] && !h.isInstanceOf[LitHop]) {
+        val op = choose(h).getOrElse(PBasic(h))
+        produced(h.id) = op
+        op.inputs.foreach(stack.push)
+      }
+    }
+    val topoIdx = Hop.collect(roots).zipWithIndex.map { case (h, i) => h.id -> i }.toMap
+    produced.values.toSeq.sortBy(op => op.outputs.map(o => topoIdx(o.id)).max)
+  }
+}
+
 /** Row template output variants (paper Table 1). */
 sealed trait RowVariant
 case object RowNoAgg   extends RowVariant // output rowDim x m
@@ -79,7 +103,8 @@ case object OuterLeftMM  extends OuterVariant // t(chain) %*% W
 /** Backend-independent code generation plan for one fused operator
   * (paper §2.2): covered sub-DAG plus resolved data binding — ordered
   * inputs with the main (template-bound) input first, the output variant,
-  * and sparse-safety of the chain w.r.t. the main input.
+  * and sparse-safety of the chain w.r.t. the main input. Code generation
+  * and the distributed runtime both read it; neither re-derives it.
   */
 final case class CPlan(
     tpe: TemplateType,
@@ -92,6 +117,8 @@ final case class CPlan(
     cellAgg: Option[(AggFunc, AggDir)],
     maggFuncs: IndexedSeq[AggFunc],
     rowDim: Long,
+    chainRoot: Hop,                  // cell-wise part under the aggregate or closing matmult (MAgg: first root's)
+    wIdx: Int,                       // input index of an Outer closing matmult's W, else -1
 ) {
   def root: Hop = roots.head
 }
@@ -130,9 +157,10 @@ object CPlan {
 
   private def constructCell(spec: FusedSpec): CPlan = {
     val covered = spec.covered.keySet
-    val (cellAgg, chainRoot) = spec.root match {
-      case a: AggHop => (Some((a.func, a.dir)), a.in)
-      case h         => (None, h)
+    val chainRoot = chainOf(spec)
+    val cellAgg = spec.root match {
+      case a: AggHop => Some((a.func, a.dir))
+      case _         => None
     }
     // main input: the sparse driver; else the largest full-dimension input
     val driver = sparseDriver(spec)
@@ -147,7 +175,7 @@ object CPlan {
       maggFuncs =
         if (spec.tpe == MAggTpl) IndexedSeq(spec.root.asInstanceOf[AggHop].func)
         else IndexedSeq.empty,
-      rowDim = chainRoot.rows)
+      rowDim = chainRoot.rows, chainRoot = chainRoot, wIdx = -1)
   }
 
   private def constructRow(spec: FusedSpec): CPlan = {
@@ -177,16 +205,20 @@ object CPlan {
     CPlan(RowTpl, IndexedSeq(spec.root), covered, ordered,
       sparseSafe = false, // Row binds to whole rows; sparse rows handled by the skeleton
       rowVariant = Some(variant), outerVariant = None, cellAgg = None,
-      maggFuncs = IndexedSeq.empty, rowDim = rowDim)
+      maggFuncs = IndexedSeq.empty, rowDim = rowDim, chainRoot = chainOf(spec), wIdx = -1)
   }
 
-  /** Output variant and chain root (the cell-wise part) of an Outer plan. */
-  private def outerChain(spec: FusedSpec): (OuterVariant, Hop) = spec.root match {
-    case a: AggHop                      => (OuterFullAgg, a.in)
-    case m: MatMulHop if spec.covered.contains(m.left.id) && m.left.isInstanceOf[TransposeHop] =>
-      (OuterLeftMM, m.left.asInstanceOf[TransposeHop].in)
-    case m: MatMulHop if !TemplateType.isOuterMatMul(m) => (OuterRightMM, m.left)
-    case h => (OuterNoAgg, h)
+  /** The cell-wise chain of a fused operator: the part under its aggregate
+    * or, for Outer, under its closing matmult `chain %*% W` or
+    * `t(chain) %*% W`. */
+  private def chainOf(spec: FusedSpec): Hop = spec.root match {
+    case a: AggHop => a.in
+    case m: MatMulHop if spec.tpe == OuterTpl => m.left match {
+      case t: TransposeHop if spec.covered.contains(t.id) => t.in
+      case l if !TemplateType.isOuterMatMul(m)          => l
+      case _                                            => m
+    }
+    case h => h
   }
 
   private def fullDim(inputs: Seq[Hop], chainRoot: Hop): Seq[Hop] =
@@ -196,20 +228,18 @@ object CPlan {
     * full-dimension input from which the chain is sparse-safe. The
     * skeleton iterates its non-zeros, so the cost model scales compute by
     * its sparsity. Row operators have none. */
-  def sparseDriver(spec: FusedSpec): Option[Hop] = {
-    val chainRoot = spec.tpe match {
-      case CellTpl | MAggTpl => spec.root match { case a: AggHop => a.in; case h => h }
-      case OuterTpl          => outerChain(spec)._2
-      case RowTpl            => return None
+  def sparseDriver(spec: FusedSpec): Option[Hop] =
+    if (spec.tpe == RowTpl) None
+    else {
+      val chainRoot = chainOf(spec)
+      fullDim(spec.inputs, chainRoot)
+        .filter(in => isSparseSafe(chainRoot, spec.covered.keySet, in))
+        .sortBy(_.sparsity).headOption
     }
-    fullDim(spec.inputs, chainRoot)
-      .filter(in => isSparseSafe(chainRoot, spec.covered.keySet, in))
-      .sortBy(_.sparsity).headOption
-  }
 
   private def constructOuter(spec: FusedSpec): CPlan = {
     val covered = spec.covered.keySet
-    val (variant, chainRoot) = outerChain(spec)
+    val chainRoot = chainOf(spec)
     // locate the opening outer-product matmult in the covered chain
     val opening = coveredHops(spec.root, covered)
       .collectFirst { case m: MatMulHop if TemplateType.isOuterMatMul(m) => m }
@@ -220,10 +250,18 @@ object CPlan {
     val driver = sparseDriver(spec).getOrElse(spec.inputs.head)
     val rest = spec.inputs.filterNot(in => (in eq driver) || (in eq u) || (in eq v))
     val ordered = IndexedSeq(driver, u, v) ++ rest
+    val (variant, wIdx) = spec.root match {
+      case _: AggHop => (OuterFullAgg, -1)
+      case m: MatMulHop if m ne chainRoot =>
+        val w = ordered.indexWhere(_ eq m.right)
+        if (w < 0) throw new IllegalStateException(s"W of ${spec.root} not bound in Outer inputs $ordered")
+        (if (m.left eq chainRoot) OuterRightMM else OuterLeftMM, w)
+      case _ => (OuterNoAgg, -1)
+    }
     CPlan(OuterTpl, IndexedSeq(spec.root), covered, ordered,
       sparseSafe = true,
       rowVariant = None, outerVariant = Some(variant), cellAgg = None,
-      maggFuncs = IndexedSeq.empty, rowDim = chainRoot.rows)
+      maggFuncs = IndexedSeq.empty, rowDim = chainRoot.rows, chainRoot = chainRoot, wIdx = wIdx)
   }
 
   /** Merge k full-aggregate cell plans into one multi-aggregate CPlan. */
@@ -234,10 +272,10 @@ object CPlan {
     CPlan(MAggTpl, specs.map(_.root).toIndexedSeq,
       specs.flatMap(_.covered.keys).toSet,
       inputs,
-      sparseSafe = cells.forall(c => isSparseSafe(c.root.asInstanceOf[AggHop].in, c.covered, main)),
+      sparseSafe = cells.forall(c => isSparseSafe(c.chainRoot, c.covered, main)),
       rowVariant = None, outerVariant = None, cellAgg = None,
       maggFuncs = specs.map(_.root.asInstanceOf[AggHop].func).toIndexedSeq,
-      rowDim = main.rows)
+      rowDim = main.rows, chainRoot = cells.head.chainRoot, wIdx = -1)
   }
 
   /** All covered hops reachable from `root` (root included if covered). */

@@ -42,7 +42,7 @@ object Codegen {
   def compile(cplan: CPlan): SpoofOperator = {
     val t0 = System.nanoTime()
     val sources = cplan.tpe match {
-      case CellTpl  => IndexedSeq(cellSource(cplan, chainRootOf(cplan)))
+      case CellTpl  => IndexedSeq(cellSource(cplan, cplan.chainRoot))
       case MAggTpl  => cplan.roots.map(r => cellSource(cplan, r.asInstanceOf[AggHop].in))
       case RowTpl   => IndexedSeq(rowSource(cplan))
       case OuterTpl => IndexedSeq(outerSource(cplan))
@@ -57,13 +57,8 @@ object Codegen {
       case CellTpl  => new SpoofCellwise(cplan.cellAgg, cplan.sparseSafe, ExecRef(sources.head))
       case MAggTpl  => new SpoofMultiAgg(cplan.maggFuncs, cplan.sparseSafe, sources.map(ExecRef[CellExec]))
       case RowTpl   => new SpoofRowwise(cplan.rowVariant.get, ExecRef(sources.head))
-      case OuterTpl => new SpoofOuterProduct(cplan.outerVariant.get, outerChain(cplan)._2, ExecRef(sources.head))
+      case OuterTpl => new SpoofOuterProduct(cplan.outerVariant.get, cplan.wIdx, ExecRef(sources.head))
     }
-  }
-
-  private def chainRootOf(cplan: CPlan): Hop = cplan.root match {
-    case a: AggHop => a.in
-    case h         => h
   }
 
   private def inputIndex(h: Hop, cplan: CPlan): Int = {
@@ -199,31 +194,9 @@ object Codegen {
     }
 
     val methods = variant match {
-      case RowNoAgg  => vecMethod("genexecVec", root)
-      case RowColAgg => vecMethod("genexecVec", root.asInstanceOf[AggHop].in)
-      case RowFullAgg => scalarMethod(root.asInstanceOf[AggHop].in)
-      case RowRowAgg =>
-        val in = root match { case a: AggHop => a.in; case h => h }
-        root match {
-          case a: AggHop if in.cols != 1 =>
-            // aggregate a row vector (not a per-row scalar) with the agg function
-            val src = new Src("S")
-            val vecV = emitRowVec(in, cplan, src)
-            val t = src.fresh()
-            a.func match {
-              case SumAgg => src.line(s"double $t = VectorPrims.vectSum($vecV);")
-              case MinAgg =>
-                src.line(s"double $t = Double.POSITIVE_INFINITY;")
-                src.line(s"for (int i_ = 0; i_ < $vecV.length; i_++) $t = Math.min($t, $vecV[i_]);")
-              case MaxAgg =>
-                src.line(s"double $t = Double.NEGATIVE_INFINITY;")
-                src.line(s"for (int i_ = 0; i_ < $vecV.length; i_++) $t = Math.max($t, $vecV[i_]);")
-            }
-            allFields.append(src.fields)
-            s"  public double genexecScalar(double[] a, MatrixBlock[] b, int rix) {\n" +
-              src.body.toString + s"    return $t;\n  }\n"
-          case _ => scalarMethod(in)
-        }
+      case RowNoAgg | RowColAgg => vecMethod("genexecVec", cplan.chainRoot)
+      case RowFullAgg => scalarMethod(cplan.chainRoot)
+      case RowRowAgg  => scalarMethod(root)
       case RowColAggT =>
         val m = root.asInstanceOf[MatMulHop]
         vecMethod("genexecVec2", m.left) + vecMethod("genexecVec", m.right)
@@ -355,18 +328,8 @@ object Codegen {
 
   // --------------------------------------------------------------- Outer
 
-  /** The Outer chain root and the input index of its matmult rhs W (-1
-    * without one). */
-  private def outerChain(cplan: CPlan): (Hop, Int) = cplan.root match {
-    case a: AggHop => (a.in, -1)
-    case m: MatMulHop if cplan.outerVariant.contains(OuterLeftMM) =>
-      (m.left.asInstanceOf[TransposeHop].in, inputIndex(m.right, cplan))
-    case m: MatMulHop if cplan.outerVariant.contains(OuterRightMM) => (m.left, inputIndex(m.right, cplan))
-    case h => (h, -1)
-  }
-
   private def outerSource(cplan: CPlan): String = {
-    val chainRoot = outerChain(cplan)._1
+    val chainRoot = cplan.chainRoot
     val opening = CPlan.coveredHops(chainRoot, cplan.covered)
       .collectFirst { case m: MatMulHop if TemplateType.isOuterMatMul(m) => m }
       .getOrElse(throw new IllegalStateException("Outer plan without opening matmult"))

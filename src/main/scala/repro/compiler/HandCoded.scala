@@ -1,6 +1,5 @@
 package repro.compiler
 
-import scala.collection.mutable
 import repro.core._
 import repro.dist._
 import repro.runtime._
@@ -21,23 +20,7 @@ object HandCoded {
     val consumers = Hop.consumers(roots)
     def single(h: Hop): Boolean = consumers(h.id).size <= 1
 
-    val produced = mutable.Map[Long, POp]()
-    val stack = mutable.Stack[Hop](roots: _*)
-    while (stack.nonEmpty) {
-      val h = stack.pop()
-      if (!produced.contains(h.id) && !h.isInstanceOf[LeafHop] && !h.isInstanceOf[LitHop]) {
-        tryMatch(h, single) match {
-          case Some(op) =>
-            produced(h.id) = op
-            op.inputs.foreach(stack.push)
-          case None =>
-            produced(h.id) = PBasic(h)
-            h.inputs.foreach(stack.push)
-        }
-      }
-    }
-    val topoIdx = Hop.collect(roots).zipWithIndex.map { case (h, i) => h.id -> i }.toMap
-    ExecPlan(produced.values.toSeq.sortBy(op => topoIdx(op.outputs.head.id)))
+    ExecPlan(ExecPlan.build(roots)(tryMatch(_, single)))
   }
 
   private def tryMatch(h: Hop, single: Hop => Boolean): Option[PHandCoded] = h match {

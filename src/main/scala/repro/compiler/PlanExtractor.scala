@@ -24,28 +24,8 @@ object PlanExtractor {
 
   def extract(dagRoots: Seq[Hop], memo: MemoTable, materialized: Set[(Long, Long)]): ExecPlan = {
     implicit val cache: ValidCache = mutable.Map.empty
-    val produced = mutable.Map[Long, POp]()
-    val stack = mutable.Stack[Hop](dagRoots: _*)
-
-    while (stack.nonEmpty) {
-      val h = stack.pop()
-      if (!produced.contains(h.id) && !h.isInstanceOf[LeafHop] && !h.isInstanceOf[LitHop]) {
-        chooseBest(h, memo, materialized) match {
-          case Some(entry) =>
-            val spec = expand(h, entry, memo, materialized)
-            produced(h.id) = PFused(spec)
-            spec.inputs.foreach(stack.push)
-          case None =>
-            produced(h.id) = PBasic(h)
-            h.inputs.foreach(stack.push)
-        }
-      }
-    }
-
-    // topological order: producers before consumers
-    val topoIdx = Hop.collect(dagRoots).zipWithIndex.map { case (h, i) => h.id -> i }.toMap
-    val ordered = produced.values.toSeq.sortBy(op => op.outputs.map(o => topoIdx(o.id)).max)
-    ExecPlan(mergeMultiAggs(ordered))
+    ExecPlan(mergeMultiAggs(ExecPlan.build(dagRoots)(h =>
+      chooseBest(h, memo, materialized).map(entry => PFused(expand(h, entry, memo, materialized))))))
   }
 
   /** Best valid entry for starting an operator at `h` (open or closed).

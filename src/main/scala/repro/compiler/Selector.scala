@@ -134,14 +134,14 @@ object Selector {
                          cfg: CostConfig, points: IndexedSeq[InterestingPoint],
                          cutSet: Option[CutSet],
                          forced: Set[(Long, Long)]): Array[Boolean] = {
-    val n = math.min(points.length, MaxPoints)
+    val n = points.length
     val scope = Some(p.nodes)
 
     var bestQ: Array[Boolean] = null
     var bestC = Double.PositiveInfinity
 
     def edgesOf(q: Array[Boolean]): Set[(Long, Long)] =
-      forced ++ points.indices.collect { case i if i < n && q(i) => points(i).edge }
+      forced ++ points.indices.collect { case i if q(i) => points(i).edge }
 
     def costOf(q: Array[Boolean], bound: Double): Double = {
       val plan = PlanExtractor.extract(dagRoots, memo, edgesOf(q))
@@ -173,7 +173,7 @@ object Selector {
         j = total // everything remaining has the cut set materialized: solved optimally above
       } else {
         // cost-based pruning via lower bound (paper Alg. 2 lines 11-15)
-        val targets = points.indices.collect { case i if i < n && q(i) => points(i).target }.toSet
+        val targets = points.indices.collect { case i if q(i) => points(i).target }.toSet
         val lb = CostModel.lowerBound(p, memo, targets, cfg)
         if (lb >= bestC) {
           val x = lastIndexOfTrue(q)

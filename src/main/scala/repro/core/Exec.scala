@@ -145,7 +145,7 @@ final class ExecContext(
 
   /** Plan an execution for the given DAG roots (exposed for tests). */
   def compilePlan(hops: Seq[Hop]): ExecPlan = mode match {
-    case BaseMode  => basicPlan(hops)
+    case BaseMode  => ExecPlan(ExecPlan.build(hops)(_ => None))
     case FusedMode => HandCoded.plan(hops)
     case GenMode(policy) =>
       val t0 = System.nanoTime()
@@ -155,11 +155,6 @@ final class ExecContext(
       CodegenStats.codegenNanos.addAndGet(System.nanoTime() - t0)
       plan
   }
-
-  private def basicPlan(hops: Seq[Hop]): ExecPlan =
-    ExecPlan(Hop.collect(hops).collect {
-      case h if !h.isInstanceOf[LeafHop] && !h.isInstanceOf[LitHop] => PBasic(h)
-    })
 }
 
 /** Executes an [[ExecPlan]]: basic operators through the local/distributed
@@ -215,19 +210,9 @@ object Executor {
     case PBasic(h) =>
       values(h.id) = place(h, Basic.execute(h, h.inputs.map(valueOf(_, values, ctx)), ctx), ctx)
     case PFused(spec) =>
-      val t0 = System.nanoTime()
-      val cplan = CPlan.construct(spec)
-      CodegenStats.cplansConstructed.incrementAndGet()
-      val spoof = Codegen.compile(cplan)
-      CodegenStats.codegenNanos.addAndGet(System.nanoTime() - t0)
-      values(spec.root.id) = place(spec.root, executeFused(spoof, cplan, values, ctx), ctx)
+      values(spec.root.id) = place(spec.root, executeFused(CPlan.construct(spec), values, ctx), ctx)
     case PMultiAgg(specs) =>
-      val t0 = System.nanoTime()
-      val cplan = CPlan.constructMultiAgg(specs)
-      CodegenStats.cplansConstructed.incrementAndGet()
-      val spoof = Codegen.compile(cplan)
-      CodegenStats.codegenNanos.addAndGet(System.nanoTime() - t0)
-      val res = executeFused(spoof, cplan, values, ctx).toLocal
+      val res = executeFused(CPlan.constructMultiAgg(specs), values, ctx).toLocal
       specs.zipWithIndex.foreach { case (s, k) =>
         values(s.root.id) = LocalData(MatrixBlock.dense(1, 1, Array(res.get(0, k))))
       }
@@ -235,8 +220,14 @@ object Executor {
       values(h.root.id) = place(h.root, HandCoded.execute(h, h.inputs.map(valueOf(_, values, ctx)), ctx), ctx)
   }
 
-  private def executeFused(spoof: SpoofOperator, cplan: CPlan,
-                           values: mutable.Map[Long, MatrixData], ctx: ExecContext): MatrixData = {
+  /** The one CPlan step: construct and compile (both counted in the
+    * codegen statistics), then run over the plan's inputs. */
+  private def executeFused(construct: => CPlan, values: mutable.Map[Long, MatrixData], ctx: ExecContext): MatrixData = {
+    val t0 = System.nanoTime()
+    val cplan = construct
+    CodegenStats.cplansConstructed.incrementAndGet()
+    val spoof = Codegen.compile(cplan)
+    CodegenStats.codegenNanos.addAndGet(System.nanoTime() - t0)
     val datas = cplan.inputs.map(valueOf(_, values, ctx))
     datas.head match {
       case LocalData(_) =>

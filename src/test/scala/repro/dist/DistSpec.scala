@@ -216,18 +216,25 @@ class DistSpec extends SparkSpec {
     val x0 = MatrixBlock.rand(100, 80, 0.1, 14, min = 0.1, max = 1)
     val u0 = MatrixBlock.rand(100, 5, 1.0, 15, min = -1, max = 1)
     val v0 = MatrixBlock.rand(80, 5, 1.0, 16, min = -1, max = 1)
-    val lCtx = new ExecContext(BaseMode)
-    val expect = {
-      implicit val c: ExecContext = lCtx
-      val x = lCtx.bindLocal("X", x0); val u = lCtx.bindLocal("U", u0); val v = lCtx.bindLocal("V", v0)
-      lCtx.eval(Seq((x.neq0 * (u %*% v.t)) %*% v, (x * ((u %*% v.t) + 8.0).log).sum)).map(_.toLocal)
+    // closing-matmult operands other than U and V: W is row-aligned with
+    // X (sliced per block), W2 with X's columns (broadcast whole)
+    val w0 = MatrixBlock.rand(100, 3, 1.0, 18, min = -1, max = 1)
+    val w20 = MatrixBlock.rand(80, 3, 1.0, 19, min = -1, max = 1)
+    def roots(ctx: ExecContext, x: MX): Seq[MX] = {
+      implicit val c: ExecContext = ctx
+      val u = ctx.bindLocal("U", u0); val v = ctx.bindLocal("V", v0)
+      val w = ctx.bindLocal("W", w0); val w2 = ctx.bindLocal("W2", w20)
+      Seq((x.neq0 * (u %*% v.t)) %*% v, (x * ((u %*% v.t) + 8.0).log).sum,
+        (x.neq0 * (u %*% v.t)).t %*% w, (x.neq0 * (u %*% v.t)) %*% w2)
     }
+    val lCtx = new ExecContext(BaseMode)
+    val expect = lCtx.eval(roots(lCtx, lCtx.bindLocal("X", x0))).map(_.toLocal)
     val dCtx = distCtx()
     val got = withDist(dist(x0)) { dm =>
-      implicit val c: ExecContext = dCtx
-      val x = dCtx.bindDist("X", dm)
-      val u = dCtx.bindLocal("U", u0); val v = dCtx.bindLocal("V", v0)
-      dCtx.eval(Seq((x.neq0 * (u %*% v.t)) %*% v, (x * ((u %*% v.t) + 8.0).log).sum)).map(_.toLocal)
+      val rs = roots(dCtx, dCtx.bindDist("X", dm))
+      val outer = dCtx.compilePlan(rs.drop(2).map(_.hop)).ops.collect { case PFused(s) if s.tpe == OuterTpl => s }
+      assert(outer.size == 2, outer)
+      dCtx.eval(rs).map(_.toLocal)
     }
     got.zip(expect).foreach { case (g, e) => assert(MatrixBlock.maxAbsDiff(g, e) < 1e-8) }
   }

@@ -1,6 +1,6 @@
 package repro.runtime
 
-import repro.{SparkSpec, TestLA}
+import repro.SparkSpec
 import repro.core._
 import repro.compiler.CostBased
 import repro.runtime.Ops._
