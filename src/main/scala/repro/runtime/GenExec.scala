@@ -55,16 +55,22 @@ object JavaBackend {
   }
 
   private val classCache = TrieMap[String, Class[_]]()
+  /** Bumped by `clearCache`; a thread's instances from an older generation
+    * are dropped, so no thread keeps running (and holding) cleared classes. */
+  @volatile private var generation = 0L
 
   /** Forget every compiled class (tests and benchmarks, between runs). */
-  def clearCache(): Unit = classCache.clear()
+  def clearCache(): Unit = synchronized { classCache.clear(); generation += 1 }
 
-  private val threadInsts = new ThreadLocal[java.util.HashMap[String, AnyRef]] {
-    override def initialValue() = new java.util.HashMap[String, AnyRef]()
-  }
+  private final class Instances(val generation: Long) extends java.util.HashMap[String, AnyRef]
+  private val threadInsts = new ThreadLocal[Instances]
   /** Per-thread instance (generated operators hold per-row ring buffers). */
   def threadInstance(source: String): AnyRef = {
-    val m = threadInsts.get()
+    var m = threadInsts.get()
+    if (m == null || m.generation != generation) {
+      m = new Instances(generation)
+      threadInsts.set(m)
+    }
     var inst = m.get(source)
     if (inst == null) {
       load(source)
@@ -97,6 +103,21 @@ object JavaBackend {
   private lazy val stdFm: StandardJavaFileManager =
     compiler.getStandardFileManager(null, null, null)
 
+  /** javac's classpath: where the `repro.runtime` supertypes and helpers of
+    * generated code live, plus scala-library, which their class files
+    * reference. Not this JVM's whole classpath: under Spark that holds
+    * hundreds of jars, and javac would open and index every one of them. */
+  private lazy val javacClasspath: String =
+    Seq(classOf[CellExec], classOf[Option[_]]).map(codeSource).mkString(java.io.File.pathSeparator)
+
+  private def codeSource(c: Class[_]): String = {
+    val cs = c.getProtectionDomain.getCodeSource
+    if (cs == null || cs.getLocation == null)
+      throw new IllegalStateException(
+        s"cannot locate the code source of ${c.getName}, which javac needs on its classpath")
+    java.nio.file.Paths.get(cs.getLocation.toURI).toString
+  }
+
   private def doCompile(source: String): Class[_] = {
     val diag = new DiagnosticCollector[JavaFileObject]()
     val outputs = TrieMap[String, MemClass]()
@@ -108,8 +129,7 @@ object JavaBackend {
         mc
       }
     }
-    // javac resolves the repro.runtime supertypes from this JVM's classpath
-    val options = List("-classpath", sys.props.getOrElse("java.class.path", "")).asJava
+    val options = List("-classpath", javacClasspath).asJava
     val task = compiler.getTask(null, fm, diag, options, null,
       List[JavaFileObject](new MemSource(ClassName, source)).asJava)
     if (!task.call())
