@@ -4,16 +4,6 @@ import scala.collection.mutable
 import repro.core._
 import repro.runtime.Ops._
 
-/** A selected fused operator: a root HOP, the covered sub-DAG (hop id ->
-  * chosen memo entry), and the materialized inputs read by the operator.
-  */
-final case class FusedSpec(
-    root: Hop,
-    tpe: TemplateType,
-    covered: Map[Long, MemoEntry],
-    inputs: IndexedSeq[Hop],
-)
-
 /** One operator of a final execution plan. */
 sealed trait POp {
   /** HOPs materialized by this operator. */
@@ -25,15 +15,12 @@ final case class PBasic(hop: Hop) extends POp {
   def outputs: Seq[Hop] = Seq(hop)
   def inputs: Seq[Hop] = hop.inputs
 }
-/** Fused operator from a single template instance. */
-final case class PFused(spec: FusedSpec) extends POp {
-  def outputs: Seq[Hop] = Seq(spec.root)
-  def inputs: Seq[Hop] = spec.inputs
-}
-/** Multi-aggregate: k full aggregates sharing inputs, one scan (paper Fig. 1(c)). */
-final case class PMultiAgg(specs: Seq[FusedSpec]) extends POp {
-  def outputs: Seq[Hop] = specs.map(_.root)
-  def inputs: Seq[Hop] = specs.flatMap(_.inputs).distinct
+/** Fused operator, bound to its CPlan when extracted: one template
+  * instance, or a multi-aggregate whose CPlan has k roots (k full
+  * aggregates sharing inputs, one scan; paper Fig. 1(c)). */
+final case class PFused(cplan: CPlan) extends POp {
+  def outputs: Seq[Hop] = cplan.roots
+  def inputs: Seq[Hop] = cplan.inputs
 }
 /** Hand-coded fused operator of the "Fused" baseline (fixed patterns). */
 final case class PHandCoded(kind: HandKind, root: Hop, covered: Set[Long],
@@ -56,8 +43,7 @@ final case class ExecPlan(ops: Seq[POp]) {
   def fusedOps: Seq[POp] = ops.filterNot(_.isInstanceOf[PBasic])
   override def toString: String = ops.map {
     case PBasic(h)    => s"  basic $h"
-    case PFused(s)    => s"  fused[${s.tpe}] root=${s.root} covered={${s.covered.keys.toSeq.sorted.mkString(",")}} inputs=${s.inputs.mkString(",")}"
-    case PMultiAgg(s) => s"  multiAgg roots=${s.map(_.root).mkString(",")}"
+    case PFused(c)    => s"  fused[${c.tpe}] roots=${c.roots.mkString(",")} covered={${c.covered.toSeq.sorted.mkString(",")}} inputs=${c.inputs.mkString(",")}"
     case PHandCoded(k, r, _, in) => s"  hand[${k.name}] root=$r inputs=${in.mkString(",")}"
   }.mkString("ExecPlan(\n", "\n", "\n)")
 }
@@ -103,8 +89,9 @@ case object OuterLeftMM  extends OuterVariant // t(chain) %*% W
 /** Backend-independent code generation plan for one fused operator
   * (paper §2.2): covered sub-DAG plus resolved data binding — ordered
   * inputs with the main (template-bound) input first, the output variant,
-  * and sparse-safety of the chain w.r.t. the main input. Code generation
-  * and the distributed runtime both read it; neither re-derives it.
+  * and sparse-safety of the chain w.r.t. the main input. Built once, when
+  * [[PlanExtractor]] extracts the operator; the cost model, code
+  * generation and the distributed runtime all read it, none re-derives it.
   */
 final case class CPlan(
     tpe: TemplateType,
@@ -148,45 +135,47 @@ object CPlan {
     safe(root)
   }
 
-  /** Build the CPlan for a selected fused operator. */
-  def construct(spec: FusedSpec): CPlan = spec.tpe match {
-    case CellTpl | MAggTpl => constructCell(spec)
-    case RowTpl            => constructRow(spec)
-    case OuterTpl          => constructOuter(spec)
+  /** Build the CPlan of the fused operator that [[PlanExtractor]] extracts
+    * at `root`: the covered hops and its materialized inputs, in the order
+    * extraction found them. */
+  private[compiler] def construct(root: Hop, tpe: TemplateType, covered: Set[Long],
+                                  inputs: IndexedSeq[Hop]): CPlan = tpe match {
+    case CellTpl | MAggTpl => constructCell(root, tpe, covered, inputs)
+    case RowTpl            => constructRow(root, covered, inputs)
+    case OuterTpl          => constructOuter(root, covered, inputs)
   }
 
-  private def constructCell(spec: FusedSpec): CPlan = {
-    val covered = spec.covered.keySet
-    val chainRoot = chainOf(spec)
-    val cellAgg = spec.root match {
+  private def constructCell(root: Hop, tpe: TemplateType, covered: Set[Long],
+                            inputs: IndexedSeq[Hop]): CPlan = {
+    val chainRoot = chainOf(root, tpe, covered)
+    val cellAgg = root match {
       case a: AggHop => Some((a.func, a.dir))
       case _         => None
     }
     // main input: the sparse driver; else the largest full-dimension input
-    val driver = sparseDriver(spec)
+    val driver = sparseDriver(chainRoot, covered, inputs)
     val main = driver
-      .orElse(fullDim(spec.inputs, chainRoot).sortBy(-_.numCells).headOption)
-      .getOrElse(spec.inputs.maxByOption(_.numCells).getOrElse(spec.inputs.head))
-    val ordered = main +: spec.inputs.filterNot(_ eq main)
-    CPlan(spec.tpe, IndexedSeq(spec.root), covered, ordered,
+      .orElse(fullDim(inputs, chainRoot).sortBy(-_.numCells).headOption)
+      .getOrElse(inputs.maxByOption(_.numCells).getOrElse(inputs.head))
+    val ordered = main +: inputs.filterNot(_ eq main)
+    CPlan(tpe, IndexedSeq(root), covered, ordered,
       sparseSafe = driver.isDefined,
       rowVariant = None, outerVariant = None,
       cellAgg = cellAgg,
       maggFuncs =
-        if (spec.tpe == MAggTpl) IndexedSeq(spec.root.asInstanceOf[AggHop].func)
+        if (tpe == MAggTpl) IndexedSeq(root.asInstanceOf[AggHop].func)
         else IndexedSeq.empty,
       rowDim = chainRoot.rows, chainRoot = chainRoot, wIdx = -1)
   }
 
-  private def constructRow(spec: FusedSpec): CPlan = {
-    val covered = spec.covered.keySet
+  private def constructRow(root: Hop, covered: Set[Long], inputs: IndexedSeq[Hop]): CPlan = {
     // the row dimension: rows iterated by the skeleton
-    val rowDim = spec.root match {
+    val rowDim = root match {
       case m: MatMulHop if TemplateType.isTransposeLeftMatMul(m) => m.right.rows
       case a: AggHop if a.dir == ColDir || a.dir == FullDir      => a.in.rows
       case h => h.rows
     }
-    val variant = spec.root match {
+    val variant = root match {
       case m: MatMulHop if TemplateType.isTransposeLeftMatMul(m) => RowColAggT
       case a: AggHop => a.dir match {
         case ColDir  => RowColAgg
@@ -197,26 +186,27 @@ object CPlan {
       case _ => RowNoAgg
     }
     // main input: the largest row-aligned matrix input
-    val rowAligned = spec.inputs.filter(in => in.rows == rowDim && in.numCells > 1 && in.cols > 1)
+    val rowAligned = inputs.filter(in => in.rows == rowDim && in.numCells > 1 && in.cols > 1)
     val main = rowAligned.sortBy(-_.numCells).headOption
-      .orElse(spec.inputs.find(in => in.rows == rowDim && in.numCells > 1))
-      .getOrElse(spec.inputs.head)
-    val ordered = main +: spec.inputs.filterNot(_ eq main)
-    CPlan(RowTpl, IndexedSeq(spec.root), covered, ordered,
+      .orElse(inputs.find(in => in.rows == rowDim && in.numCells > 1))
+      .getOrElse(inputs.head)
+    val ordered = main +: inputs.filterNot(_ eq main)
+    CPlan(RowTpl, IndexedSeq(root), covered, ordered,
       sparseSafe = false, // Row binds to whole rows; sparse rows handled by the skeleton
       rowVariant = Some(variant), outerVariant = None, cellAgg = None,
-      maggFuncs = IndexedSeq.empty, rowDim = rowDim, chainRoot = chainOf(spec), wIdx = -1)
+      maggFuncs = IndexedSeq.empty, rowDim = rowDim, chainRoot = chainOf(root, RowTpl, covered),
+      wIdx = -1)
   }
 
   /** The cell-wise chain of a fused operator: the part under its aggregate
     * or, for Outer, under its closing matmult `chain %*% W` or
     * `t(chain) %*% W`. */
-  private def chainOf(spec: FusedSpec): Hop = spec.root match {
+  private def chainOf(root: Hop, tpe: TemplateType, covered: Set[Long]): Hop = root match {
     case a: AggHop => a.in
-    case m: MatMulHop if spec.tpe == OuterTpl => m.left match {
-      case t: TransposeHop if spec.covered.contains(t.id) => t.in
-      case l if !TemplateType.isOuterMatMul(m)          => l
-      case _                                            => m
+    case m: MatMulHop if tpe == OuterTpl => m.left match {
+      case t: TransposeHop if covered.contains(t.id) => t.in
+      case l if !TemplateType.isOuterMatMul(m)     => l
+      case _                                       => m
     }
     case h => h
   }
@@ -226,55 +216,49 @@ object CPlan {
 
   /** The sparse driver of a Cell, MAgg or Outer operator: the sparsest
     * full-dimension input from which the chain is sparse-safe. The
-    * skeleton iterates its non-zeros, so the cost model scales compute by
-    * its sparsity. Row operators have none. */
-  def sparseDriver(spec: FusedSpec): Option[Hop] =
-    if (spec.tpe == RowTpl) None
-    else {
-      val chainRoot = chainOf(spec)
-      fullDim(spec.inputs, chainRoot)
-        .filter(in => isSparseSafe(chainRoot, spec.covered.keySet, in))
-        .sortBy(_.sparsity).headOption
-    }
+    * skeleton iterates its non-zeros, so it is bound as the main input. */
+  private def sparseDriver(chainRoot: Hop, covered: Set[Long], inputs: Seq[Hop]): Option[Hop] =
+    fullDim(inputs, chainRoot)
+      .filter(in => isSparseSafe(chainRoot, covered, in))
+      .sortBy(_.sparsity).headOption
 
-  private def constructOuter(spec: FusedSpec): CPlan = {
-    val covered = spec.covered.keySet
-    val chainRoot = chainOf(spec)
+  private def constructOuter(root: Hop, covered: Set[Long], inputs: IndexedSeq[Hop]): CPlan = {
+    val chainRoot = chainOf(root, OuterTpl, covered)
     // locate the opening outer-product matmult in the covered chain
-    val opening = coveredHops(spec.root, covered)
+    val opening = coveredHops(root, covered)
       .collectFirst { case m: MatMulHop if TemplateType.isOuterMatMul(m) => m }
-      .getOrElse(throw new IllegalStateException(s"Outer plan without opening matmult at ${spec.root}"))
+      .getOrElse(throw new IllegalStateException(s"Outer plan without opening matmult at $root"))
     val u = opening.left
     val v = opening.right.asInstanceOf[TransposeHop].in
     // main = the sparse driver: the other operand of a covered mult/div
-    val driver = sparseDriver(spec).getOrElse(spec.inputs.head)
-    val rest = spec.inputs.filterNot(in => (in eq driver) || (in eq u) || (in eq v))
-    val ordered = IndexedSeq(driver, u, v) ++ rest
-    val (variant, wIdx) = spec.root match {
+    val driver = sparseDriver(chainRoot, covered, inputs)
+    val main = driver.getOrElse(inputs.head)
+    val rest = inputs.filterNot(in => (in eq main) || (in eq u) || (in eq v))
+    val ordered = IndexedSeq(main, u, v) ++ rest
+    val (variant, wIdx) = root match {
       case _: AggHop => (OuterFullAgg, -1)
       case m: MatMulHop if m ne chainRoot =>
         val w = ordered.indexWhere(_ eq m.right)
-        if (w < 0) throw new IllegalStateException(s"W of ${spec.root} not bound in Outer inputs $ordered")
+        if (w < 0) throw new IllegalStateException(s"W of $root not bound in Outer inputs $ordered")
         (if (m.left eq chainRoot) OuterRightMM else OuterLeftMM, w)
       case _ => (OuterNoAgg, -1)
     }
-    CPlan(OuterTpl, IndexedSeq(spec.root), covered, ordered,
-      sparseSafe = true,
+    CPlan(OuterTpl, IndexedSeq(root), covered, ordered,
+      sparseSafe = driver.isDefined,
       rowVariant = None, outerVariant = Some(variant), cellAgg = None,
       maggFuncs = IndexedSeq.empty, rowDim = chainRoot.rows, chainRoot = chainRoot, wIdx = wIdx)
   }
 
   /** Merge k full-aggregate cell plans into one multi-aggregate CPlan. */
-  def constructMultiAgg(specs: Seq[FusedSpec]): CPlan = {
-    val cells = specs.map(constructCell)
+  private[compiler] def multiAgg(cells: Seq[CPlan]): CPlan = {
     val main = cells.head.inputs.head
     val inputs = (main +: cells.flatMap(_.inputs).filterNot(_ eq main).distinct).toIndexedSeq
-    CPlan(MAggTpl, specs.map(_.root).toIndexedSeq,
-      specs.flatMap(_.covered.keys).toSet,
+    CPlan(MAggTpl, cells.map(_.root).toIndexedSeq,
+      cells.flatMap(_.covered).toSet,
       inputs,
       sparseSafe = cells.forall(c => isSparseSafe(c.chainRoot, c.covered, main)),
       rowVariant = None, outerVariant = None, cellAgg = None,
-      maggFuncs = specs.map(_.root.asInstanceOf[AggHop].func).toIndexedSeq,
+      maggFuncs = cells.map(_.root.asInstanceOf[AggHop].func).toIndexedSeq,
       rowDim = main.rows, chainRoot = cells.head.chainRoot, wIdx = -1)
   }
 

@@ -6,14 +6,15 @@ import repro.core._
 import repro.runtime._
 import repro.runtime.Ops._
 
-/** Code generation statistics (paper Table 3): compiled DAGs, constructed
-  * CPlans, compiled operators, plan-cache hits, and compile overhead. */
+/** Code generation statistics (paper Table 3): compiled DAGs, CPlans of
+  * executed fused operators, compiled operators, plan-cache hits, and
+  * compile overhead. */
 object CodegenStats {
   val dagsOptimized      = new AtomicLong
   val cplansConstructed  = new AtomicLong
   val operatorsCompiled  = new AtomicLong
   val planCacheHits      = new AtomicLong
-  val codegenNanos       = new AtomicLong // total codegen step (construct + compile)
+  val codegenNanos       = new AtomicLong // total codegen step (explore + select + compile)
   val compileNanos       = new AtomicLong // operator class compilation only
   val plansEvaluated     = new AtomicLong // costed plans in MPSkipEnum
   val plansSkipped       = new AtomicLong // pruned plans in MPSkipEnum

@@ -74,11 +74,11 @@ object CostModel {
     // constraint Z: distributed Row templates need whole rows per block;
     // distributed side inputs must fit the broadcast budget
     op match {
-      case PFused(spec) if dist =>
-        val main = spec.inputs.headOption
-        if (spec.tpe == RowTpl && main.exists(m => isDistributedHop(m, cfg) && m.cols > cfg.blockCols))
+      case PFused(cplan) if dist =>
+        val main = cplan.inputs.head
+        if (cplan.tpe == RowTpl && isDistributedHop(main, cfg) && main.cols > cfg.blockCols)
           return Double.PositiveInfinity
-        val sides = spec.inputs.drop(1)
+        val sides = cplan.inputs.drop(1)
         if (sides.exists(s => !isDistributedHop(s, cfg) && sizeBytes(s) > cfg.broadcastBudget.toDouble))
           return Double.PositiveInfinity
       case _ =>
@@ -95,18 +95,16 @@ object CostModel {
 
     val computeTime = op match {
       case PBasic(h) => flops(h) / cfg.computeBandwidth
-      case PFused(spec) =>
-        val total = coveredFlops(spec)
-        val scale = sparsityScale(spec)
+      case PFused(cplan) =>
+        val main = cplan.inputs.head
+        // sparsity-exploiting operators iterate the non-zeros of their main
+        // input (the sparse driver)
+        val scale = if (cplan.sparseSafe) math.max(main.sparsity, 1e-9) else 1.0
+        val total = cplan.roots.map(r => CPlan.coveredHops(r, cplan.covered).map(flops).sum).sum
         // Row skeletons densify the main row per iteration (no native
         // sparse-row genexec): charge the full cell count of the main
-        val densify =
-          if (spec.tpe == RowTpl)
-            spec.inputs.headOption.map(_.numCells.toDouble).getOrElse(0.0)
-          else 0.0
+        val densify = if (cplan.tpe == RowTpl) main.numCells.toDouble else 0.0
         (total * scale + densify) / cfg.computeBandwidth
-      case PMultiAgg(specs) =>
-        specs.map(s => coveredFlops(s) * sparsityScale(s)).sum / cfg.computeBandwidth
       case h: PHandCoded =>
         throw new IllegalArgumentException(s"the Fused baseline is never costed: $h")
     }
@@ -114,14 +112,6 @@ object CostModel {
     val latency = if (dist) cfg.distLatencyS else 0.0
     writeTime + math.max(readTime, computeTime) + latency
   }
-
-  private def coveredFlops(spec: FusedSpec): Double =
-    CPlan.coveredHops(spec.root, spec.covered.keySet).map(flops).sum
-
-  /** Sparsity-exploiting operators scale compute by the sparsity of the
-    * sparse driver that [[CPlan.construct]] binds as their main input. */
-  def sparsityScale(spec: FusedSpec): Double =
-    CPlan.sparseDriver(spec).map(d => math.max(d.sparsity, 1e-9)).getOrElse(1.0)
 
   /** Cost of the full plan, optionally restricted to operators touching
     * `scope` (a plan partition), with early exit once the running cost
@@ -141,9 +131,8 @@ object CostModel {
   }
 
   private def opCoversScope(op: POp, scope: Set[Long]): Boolean = op match {
-    case PFused(spec)    => spec.covered.keysIterator.exists(scope.contains)
-    case PMultiAgg(sp)   => sp.exists(_.covered.keysIterator.exists(scope.contains))
-    case _               => false
+    case PFused(cplan) => cplan.covered.exists(scope.contains)
+    case _             => false
   }
 
   /** Lower bound of any plan of `partition` under assignment `q` (paper

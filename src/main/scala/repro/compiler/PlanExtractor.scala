@@ -60,21 +60,22 @@ object PlanExtractor {
   }
 
   /** Expand the fused operator rooted at (h, entry): follow fusion
-    * references top-down, collecting covered nodes and materialized inputs. */
+    * references top-down, collecting covered nodes and materialized
+    * inputs, and bind them into the operator's CPlan. */
   private def expand(h: Hop, entry: MemoEntry, memo: MemoTable, mat: Set[(Long, Long)])
-                    (implicit cache: ValidCache): FusedSpec = {
-    val covered = mutable.LinkedHashMap[Long, MemoEntry]()
+                    (implicit cache: ValidCache): CPlan = {
+    val covered = mutable.Set[Long]()
     val inputs = mutable.LinkedHashSet[Hop]()
 
     def rec(hop: Hop, e: MemoEntry): Unit = {
-      covered(hop.id) = e
+      covered += hop.id
       // the transposed factor of an Outer opening matmult is part of the
       // pattern: the skeleton reads V's rows directly, never t(V)
       val absorbed: Option[Hop] = hop match {
         case m: MatMulHop if e.tpe == OuterTpl && TemplateType.isOuterMatMul(m) &&
           !covered.contains(m.right.id) =>
           val t = m.right.asInstanceOf[TransposeHop]
-          covered(t.id) = e
+          covered += t.id
           inputs += t.in
           Some(t)
         case _ => None
@@ -92,48 +93,36 @@ object PlanExtractor {
       }
     }
     rec(h, entry)
-    FusedSpec(h, entry.tpe, covered.toMap, inputs.toIndexedSeq)
+    CPlan.construct(h, entry.tpe, covered.toSet, inputs.toIndexedSeq)
   }
 
   /** Merge adjacent full aggregates with shared inputs into multi-aggregate
     * operators (paper Fig. 1(c)): one scan over the shared input. */
   private def mergeMultiAggs(ops: Seq[POp]): Seq[POp] = {
-    def isFullAggOp(op: POp): Option[FusedSpec] = op match {
-      case PFused(s) =>
-        s.root match {
-          case a: AggHop if a.dir == FullDir &&
-            (s.tpe == MAggTpl || s.tpe == CellTpl) => Some(s)
-          case _ => None
-        }
-      case _ => None
-    }
     val result = mutable.ArrayBuffer[POp]()
-    val mergedAt = mutable.Map[Int, mutable.ArrayBuffer[FusedSpec]]()
+    val mergedAt = mutable.Map[Int, mutable.ArrayBuffer[CPlan]]()
+    def dims(c: CPlan) = (c.chainRoot.rows, c.chainRoot.cols)
 
-    ops.foreach { op =>
-      isFullAggOp(op) match {
-        case Some(spec) =>
-          // group with an earlier aggregate sharing any input (max 3 per
-          // group); chains must have identical dims to share one cell scan
-          def dims(s: FusedSpec) = { val in = s.root.asInstanceOf[AggHop].in; (in.rows, in.cols) }
-          val grp = mergedAt.values.find(g =>
-            g.size < 3 && dims(g.head) == dims(spec) &&
-              g.exists(_.inputs.exists(i => spec.inputs.exists(_ eq i))))
-          grp match {
-            case Some(g) => g += spec
-            case None =>
-              val g = mutable.ArrayBuffer(spec)
-              mergedAt(result.size) = g
-              result += null // placeholder, filled below
-          }
-        case None =>
-          result += op
-      }
+    ops.foreach {
+      case PFused(cplan) if cplan.cellAgg.exists(_._2 == FullDir) =>
+        // group with an earlier aggregate sharing any input (max 3 per
+        // group); chains must have identical dims to share one cell scan
+        val grp = mergedAt.values.find(g =>
+          g.size < 3 && dims(g.head) == dims(cplan) &&
+            g.exists(_.inputs.exists(i => cplan.inputs.exists(_ eq i))))
+        grp match {
+          case Some(g) => g += cplan
+          case None =>
+            mergedAt(result.size) = mutable.ArrayBuffer(cplan)
+            result += null // placeholder, filled below
+        }
+      case op =>
+        result += op
     }
     result.indices.foreach { i =>
       if (result(i) == null) {
         val g = mergedAt(i)
-        result(i) = if (g.size == 1) PFused(g.head) else PMultiAgg(g.toSeq)
+        result(i) = PFused(if (g.size == 1) g.head else CPlan.multiAgg(g.toSeq))
       }
     }
     result.toSeq

@@ -166,6 +166,8 @@ case object RowTpl extends TemplateType {
     case m: MatMulHop if isTransposeLeftMatMul(m) => (m.left eq in) || (m.right eq in)
     case _: MatMulHop                             => false
     case t: TransposeHop                          => t.in eq in
+    // as in `fuse`: only a t(X) %*% Z matmult reads a transpose chain
+    case _ if in.isInstanceOf[TransposeHop]       => false
     case _ if isCellwise(h) || h.isInstanceOf[AggHop] => !in.isScalar
     case _ => false
   }

@@ -158,8 +158,8 @@ final class ExecContext(
 }
 
 /** Executes an [[ExecPlan]]: basic operators through the local/distributed
-  * kernels, fused operators through CPlan construction + code generation
-  * (with plan cache) and the template skeletons.
+  * kernels, fused operators through code generation of their CPlans (with
+  * the class cache) and the template skeletons.
   *
   * A distributed intermediate read by two or more operators of the plan is
   * persisted for the duration of one `run`, so its lineage is computed
@@ -209,22 +209,24 @@ object Executor {
   private def executeOp(op: POp, values: mutable.Map[Long, MatrixData], ctx: ExecContext): Unit = op match {
     case PBasic(h) =>
       values(h.id) = place(h, Basic.execute(h, h.inputs.map(valueOf(_, values, ctx)), ctx), ctx)
-    case PFused(spec) =>
-      values(spec.root.id) = place(spec.root, executeFused(CPlan.construct(spec), values, ctx), ctx)
-    case PMultiAgg(specs) =>
-      val res = executeFused(CPlan.constructMultiAgg(specs), values, ctx).toLocal
-      specs.zipWithIndex.foreach { case (s, k) =>
-        values(s.root.id) = LocalData(MatrixBlock.dense(1, 1, Array(res.get(0, k))))
+    case PFused(cplan) =>
+      val res = executeFused(cplan, values, ctx)
+      cplan.roots match {
+        case Seq(root) => values(root.id) = place(root, res, ctx)
+        case roots => // multi-aggregate: a 1 x k result, one value per root
+          val b = res.toLocal
+          roots.zipWithIndex.foreach { case (r, k) =>
+            values(r.id) = LocalData(MatrixBlock.dense(1, 1, Array(b.get(0, k))))
+          }
       }
     case h: PHandCoded =>
       values(h.root.id) = place(h.root, HandCoded.execute(h, h.inputs.map(valueOf(_, values, ctx)), ctx), ctx)
   }
 
-  /** The one CPlan step: construct and compile (both counted in the
-    * codegen statistics), then run over the plan's inputs. */
-  private def executeFused(construct: => CPlan, values: mutable.Map[Long, MatrixData], ctx: ExecContext): MatrixData = {
+  /** Compile the operator's CPlan (counted in the codegen statistics),
+    * then run it over the plan's inputs. */
+  private def executeFused(cplan: CPlan, values: mutable.Map[Long, MatrixData], ctx: ExecContext): MatrixData = {
     val t0 = System.nanoTime()
-    val cplan = construct
     CodegenStats.cplansConstructed.incrementAndGet()
     val spoof = Codegen.compile(cplan)
     CodegenStats.codegenNanos.addAndGet(System.nanoTime() - t0)

@@ -94,7 +94,10 @@ class CodegenSpec extends SparkSpec {
     val x = ctx.bindLocal("X", dense(35, 25, 17))
     val y = ctx.bindLocal("Y", dense(35, 25, 18))
     val plan = ctx.compilePlan(Seq((x ^ 2.0).sum, (x * y).sum, (y ^ 2.0).sum).map(_.hop))
-    assert(plan.ops.exists(_.isInstanceOf[PMultiAgg]), plan.toString)
+    assert(plan.ops.exists {
+      case PFused(c) => c.tpe == MAggTpl && c.roots.size > 1
+      case _         => false
+    }, plan.toString)
   }
 
   // ---- Fig. 1(b) / Eq. (2): Row ----------------------------------------
@@ -239,6 +242,21 @@ class CodegenSpec extends SparkSpec {
     }
   }
 
+  // ---- a transpose under a cell-wise or aggregate consumer --------------
+  // A Row operator iterates rows of its main input, so it must not absorb
+  // t(U) below an aggregate: its rows would be U's, not t(U)'s.
+  private val genModes = Seq(BaseMode, GenMode(CostBased), GenMode(FuseAll), GenMode(FuseNoRedundancy))
+  test("colSums(t(U)) with U 40x3 equals Base (1x40)") {
+    TestLA.modesAgree(genModes) { implicit ctx =>
+      Seq(ctx.bindLocal("U", dense(40, 3, 56)).t.colSums)
+    }
+  }
+  test("rowMaxs(t(U)) with U 40x3 equals Base (3x1)") {
+    TestLA.modesAgree(genModes) { implicit ctx =>
+      Seq(ctx.bindLocal("U", dense(40, 3, 57)).t.rowMaxs)
+    }
+  }
+
   // ---- ExecRef: one instance per thread, Java serialization -------------
   /** Eq2's t(X) %*% (Q - P*rowSums(Q)): one Row operator whose generated
     * class keeps ring-buffer fields for its vector intermediates. */
@@ -259,8 +277,8 @@ class CodegenSpec extends SparkSpec {
   private def eq2Operator(): (SpoofOperator, CPlan) = {
     val (ctx, root) = eq2Dag(GenMode(CostBased), eq2Inputs(1))
     val cplan = ctx.compilePlan(Seq(root.hop)).ops match {
-      case Seq(PFused(spec)) => CPlan.construct(spec)
-      case ops               => fail(s"expected one fused operator, got $ops")
+      case Seq(PFused(cplan)) => cplan
+      case ops                => fail(s"expected one fused operator, got $ops")
     }
     assert(cplan.tpe == RowTpl)
     (Codegen.compile(cplan), cplan)

@@ -48,10 +48,13 @@ class CostModelSpec extends SparkSpec {
     val roots = Seq((x * (u %*% v.t)).sum.hop)
     val memo = Explorer.explore(roots)
     val gen = Selector.select(roots, memo.copyTable(), CostBased, cfg)
-    val outer = gen.ops.collect { case PFused(s) if s.tpe == OuterTpl => s }
+    val outer = gen.ops.collect { case PFused(c) if c.tpe == OuterTpl => c }
     assert(outer.nonEmpty)
-    val scale = CostModel.sparsityScale(outer.head)
-    assert(scale < 0.05, s"driver sparsity scale $scale")
+    val driver = outer.head.inputs.head
+    assert(outer.head.sparseSafe && driver.sparsity < 0.05, s"driver $driver")
+    val sparseCost = CostModel.opCost(PFused(outer.head), cfg)
+    val denseCost = CostModel.opCost(PFused(outer.head.copy(sparseSafe = false)), cfg)
+    assert(sparseCost < denseCost, s"$sparseCost !< $denseCost")
   }
 
   test("distributed side inputs are penalized (broadcast cost)") {
@@ -70,9 +73,42 @@ class CostModelSpec extends SparkSpec {
     val x = new LeafHop("X", 100000, 300, 1.0) // wide + distributed
     val v = new LeafHop("v", 300, 1, 1.0)
     val mm = new MatMulHop(x, v)
-    val spec = FusedSpec(mm, RowTpl, Map(mm.id -> MemoEntry(RowTpl, IndexedSeq(-1L, -1L), OpenValid)),
-      IndexedSeq(x, v))
-    assert(CostModel.opCost(PFused(spec), smallCfg).isPosInfinity)
+    val cplan = CPlan.construct(mm, RowTpl, Set(mm.id), IndexedSeq(x, v))
+    assert(CostModel.opCost(PFused(cplan), smallCfg).isPosInfinity)
+  }
+
+  /** The Row operator of `v * (X %*% W)` as extraction binds it: extraction
+    * finds v (n x k) first, but the skeleton iterates rows of the wider X. */
+  private def rowOverX(x: Hop, v: Hop, w: Hop): CPlan = {
+    val roots = Seq(new BinaryHop(Ops.Mult, v, new MatMulHop(x, w)))
+    PlanExtractor.extract(roots, Explorer.explore(roots), Set.empty).ops match {
+      case Seq(PFused(c)) if c.tpe == RowTpl =>
+        assert(c.inputs.map(_.id).toSet == Set(v.id, x.id, w.id), c.inputs)
+        assert(c.inputs.head eq x, s"bound main ${c.inputs.head}, expected $x")
+        c
+      case ops => fail(s"expected one Row operator, got $ops")
+    }
+  }
+
+  test("constraint Z reads the bound main input of a Row operator, not the first one found") {
+    val smallCfg = cfg.copy(localMemBudget = 1L << 16, blockCols = 64)
+    val x = new LeafHop("X", 100000, 300, 1.0) // wide + distributed
+    val v = new LeafHop("v", 100000, 4, 1.0)
+    val w = new LeafHop("W", 300, 4, 1.0)
+    assert(CostModel.opCost(PFused(rowOverX(x, v, w)), smallCfg).isPosInfinity)
+  }
+
+  test("a local Row operator's compute term densifies its bound main input") {
+    // compute-bound: reads and writes are free, one FLOP per second
+    val slowCfg = cfg.copy(readBandwidth = 1e30, writeBandwidth = 1e30, computeBandwidth = 1.0)
+    val x = new LeafHop("X", 1000, 50, 0.1)
+    val v = new LeafHop("v", 1000, 4, 1.0)
+    val w = new LeafHop("W", 50, 4, 1.0)
+    val cplan = rowOverX(x, v, w)
+    val chain = CPlan.coveredHops(cplan.root, cplan.covered).map(CostModel.flops).sum
+    val expected = chain + x.numCells
+    val got = CostModel.opCost(PFused(cplan), slowCfg)
+    assert(math.abs(got - expected) <= 1e-9 * expected, s"compute $got, expected $expected")
   }
 
   test("lower bound never exceeds the actual optimal cost") {
@@ -100,11 +136,15 @@ class CostModelSpec extends SparkSpec {
     val roots = Seq((x ^ 2.0).sum.hop, (x * y).sum.hop)
     val memo = Explorer.explore(roots)
     val plan = Selector.select(roots, memo, CostBased, cfg)
-    val magg = plan.ops.collect { case m: PMultiAgg => m }
+    val magg = plan.ops.collect { case PFused(c) if c.roots.size > 1 => c }
     assert(magg.nonEmpty, plan.toString)
     // cost of the merged op < two separate fused aggregates (X read once)
-    val merged = CostModel.opCost(magg.head, cfg)
-    val separate = magg.head.specs.map(s => CostModel.opCost(PFused(s), cfg)).sum
+    val merged = CostModel.opCost(PFused(magg.head), cfg)
+    val separate = magg.head.roots.map { r =>
+      val covered = CPlan.coveredHops(r, magg.head.covered)
+      val inputs = magg.head.inputs.filter(in => covered.exists(_.inputs.contains(in)))
+      CostModel.opCost(PFused(CPlan.construct(r, MAggTpl, covered.map(_.id).toSet, inputs)), cfg)
+    }.sum
     assert(merged < separate)
   }
 }

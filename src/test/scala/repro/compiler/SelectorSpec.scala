@@ -156,9 +156,8 @@ class SelectorSpec extends SparkSpec {
     val plan = c.compilePlan(Seq(shared.rowSums.hop, (shared * 2.0).sum.hop))
     // both consumers cover the shared chain inside their fused operators
     val covering = plan.ops.count {
-      case PFused(s)    => s.covered.contains(shared.hop.id)
-      case PMultiAgg(s) => s.exists(_.covered.contains(shared.hop.id))
-      case _            => false
+      case PFused(c) => c.covered.contains(shared.hop.id)
+      case _         => false
     }
     assert(covering >= 2, plan.toString)
   }
