@@ -51,7 +51,7 @@ object Benchmarks {
       "AutoEncoder" -> (() => AutoEncoder.run(gen, LocalData(AlgoData.denseFeatures(4096, 128)),
                               h1 = 64, h2 = 2, batch = 512)),
     )
-    // javac's own JVM warm-up would be charged to the first row: compile
+    // janino's own JVM warm-up would be charged to the first row: compile
     // one operator first and throw it away (the loop clears the cache)
     (gen.bindLocal("X", x) ^ 2.0).sum.eval()
     algos.map { case (name, run) =>

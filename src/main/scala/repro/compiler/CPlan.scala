@@ -137,11 +137,12 @@ object CPlan {
 
   /** Build the CPlan of the fused operator that [[PlanExtractor]] extracts
     * at `root`: the covered hops and its materialized inputs, in the order
-    * extraction found them. */
+    * extraction found them. None if the template cannot bind the inputs:
+    * an Outer operator without an input of the outer product's size. */
   private[compiler] def construct(root: Hop, tpe: TemplateType, covered: Set[Long],
-                                  inputs: IndexedSeq[Hop]): CPlan = tpe match {
-    case CellTpl | MAggTpl => constructCell(root, tpe, covered, inputs)
-    case RowTpl            => constructRow(root, covered, inputs)
+                                  inputs: IndexedSeq[Hop]): Option[CPlan] = tpe match {
+    case CellTpl | MAggTpl => Some(constructCell(root, tpe, covered, inputs))
+    case RowTpl            => Some(constructRow(root, covered, inputs))
     case OuterTpl          => constructOuter(root, covered, inputs)
   }
 
@@ -222,7 +223,7 @@ object CPlan {
       .filter(in => isSparseSafe(chainRoot, covered, in))
       .sortBy(_.sparsity).headOption
 
-  private def constructOuter(root: Hop, covered: Set[Long], inputs: IndexedSeq[Hop]): CPlan = {
+  private def constructOuter(root: Hop, covered: Set[Long], inputs: IndexedSeq[Hop]): Option[CPlan] = {
     val chainRoot = chainOf(root, OuterTpl, covered)
     // locate the opening outer-product matmult in the covered chain
     val opening = coveredHops(root, covered)
@@ -230,9 +231,14 @@ object CPlan {
       .getOrElse(throw new IllegalStateException(s"Outer plan without opening matmult at $root"))
     val u = opening.left
     val v = opening.right.asInstanceOf[TransposeHop].in
-    // main = the sparse driver: the other operand of a covered mult/div
+    // main = the sparse driver (the other operand of a covered mult/div),
+    // else any input of the outer product's size: the skeleton iterates
+    // its cells, so without one there is no Outer operator
     val driver = sparseDriver(chainRoot, covered, inputs)
-    val main = driver.getOrElse(inputs.head)
+    val main = driver.orElse(fullDim(inputs, chainRoot).headOption) match {
+      case Some(m) => m
+      case None    => return None
+    }
     val rest = inputs.filterNot(in => (in eq main) || (in eq u) || (in eq v))
     val ordered = IndexedSeq(main, u, v) ++ rest
     val (variant, wIdx) = root match {
@@ -243,10 +249,10 @@ object CPlan {
         (if (m.left eq chainRoot) OuterRightMM else OuterLeftMM, w)
       case _ => (OuterNoAgg, -1)
     }
-    CPlan(OuterTpl, IndexedSeq(root), covered, ordered,
+    Some(CPlan(OuterTpl, IndexedSeq(root), covered, ordered,
       sparseSafe = driver.isDefined,
       rowVariant = None, outerVariant = Some(variant), cellAgg = None,
-      maggFuncs = IndexedSeq.empty, rowDim = chainRoot.rows, chainRoot = chainRoot, wIdx = wIdx)
+      maggFuncs = IndexedSeq.empty, rowDim = chainRoot.rows, chainRoot = chainRoot, wIdx = wIdx))
   }
 
   /** Merge k full-aggregate cell plans into one multi-aggregate CPlan. */

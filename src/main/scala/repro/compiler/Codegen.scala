@@ -25,18 +25,16 @@ object CodegenStats {
 
 /** Compiles CPlans into executable fused operators.
   *
-  * Primary backend: per-operator Java source generation compiled in
-  * memory with the JDK compiler (the paper's javac path, §2.1/Fig. 11 —
-  * janino is not available offline). Generated classes only override the
-  * template's `genexec`; data access, multi-threading and aggregation
-  * live in the hand-coded skeletons ([[repro.runtime.SpoofCellwise]] et
-  * al.). javac is the only backend; a JVM without a system compiler is an
-  * error. The class cache of [[repro.runtime.JavaBackend]], keyed by the
-  * generated source, identifies equivalent CPlans and avoids re-compilation
-  * across DAGs and dynamic recompilation (paper §2.1, §5.3). Only classes
-  * are cached: the skeleton's parameters (aggregation, sparse-safety,
-  * variant) are not part of the source, so every call builds the skeleton
-  * fresh from its CPlan.
+  * Per-operator Java source, compiled in memory with janino, as in the
+  * paper (§2.1, Fig. 11). Generated classes only override the template's
+  * `genexec`; data access and aggregation live in the hand-coded
+  * skeletons ([[repro.runtime.SpoofCellwise]] et al.), each of which runs
+  * on one thread. The class cache of [[repro.runtime.JavaBackend]], keyed
+  * by the generated source, identifies equivalent CPlans and avoids
+  * re-compilation across DAGs and dynamic recompilation (paper §2.1,
+  * §5.3). Only classes are cached: the skeleton's parameters
+  * (aggregation, sparse-safety, variant) are not part of the source, so
+  * every call builds the skeleton fresh from its CPlan.
   */
 object Codegen {
 
@@ -49,7 +47,7 @@ object Codegen {
       case OuterTpl => IndexedSeq(outerSource(cplan))
     }
     // a miss if this call compiled any class: of several threads compiling
-    // the same new source, only the one that ran javac counts it
+    // the same new source, only the one that compiled it counts it
     if (sources.map(JavaBackend.load).contains(true)) {
       CodegenStats.compileNanos.addAndGet(System.nanoTime() - t0)
       CodegenStats.operatorsCompiled.incrementAndGet()

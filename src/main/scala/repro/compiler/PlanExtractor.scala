@@ -25,21 +25,21 @@ object PlanExtractor {
   def extract(dagRoots: Seq[Hop], memo: MemoTable, materialized: Set[(Long, Long)]): ExecPlan = {
     implicit val cache: ValidCache = mutable.Map.empty
     ExecPlan(mergeMultiAggs(ExecPlan.build(dagRoots)(h =>
-      chooseBest(h, memo, materialized).map(entry => PFused(expand(h, entry, memo, materialized))))))
+      chooseBest(h, memo, materialized).map(PFused))))
   }
 
-  /** Best valid entry for starting an operator at `h` (open or closed).
-    * A bare transpose never roots a fused operator — its entries exist
-    * only to be merged into matmult patterns. */
+  /** The operator of the best valid entry for starting an operator at `h`
+    * (open or closed) whose CPlan binds its inputs; an Outer entry without
+    * an input of the outer product's size (such as the bare matmult) does
+    * not, and the next-ranked entry is tried. A bare transpose never roots
+    * a fused operator: its entries exist only to be merged into matmult
+    * patterns. */
   private def chooseBest(h: Hop, memo: MemoTable, mat: Set[(Long, Long)])
-                        (implicit cache: ValidCache): Option[MemoEntry] = {
-    if (h.isInstanceOf[TransposeHop]) return None
-    val valid = memo.entries(h.id).filter(e => entryValid(h, e, memo, mat) &&
-      // an open Outer entry without references covers only the outer-product
-      // matmult itself — that is a basic operator, not a fused one
-      !(e.tpe == OuterTpl && e.isOpen && !e.hasRefs))
-    if (valid.isEmpty) None else Some(valid.maxBy(rank))
-  }
+                        (implicit cache: ValidCache): Option[CPlan] =
+    if (h.isInstanceOf[TransposeHop]) None
+    else memo.entries(h.id).filter(e => entryValid(h, e, memo, mat))
+      .sortBy(rank)(Ordering[(Int, Int)].reverse).iterator
+      .flatMap(e => expand(h, e, memo, mat)).nextOption()
 
   private def entryValid(h: Hop, e: MemoEntry, memo: MemoTable, mat: Set[(Long, Long)])
                         (implicit cache: ValidCache): Boolean =
@@ -63,7 +63,7 @@ object PlanExtractor {
     * references top-down, collecting covered nodes and materialized
     * inputs, and bind them into the operator's CPlan. */
   private def expand(h: Hop, entry: MemoEntry, memo: MemoTable, mat: Set[(Long, Long)])
-                    (implicit cache: ValidCache): CPlan = {
+                    (implicit cache: ValidCache): Option[CPlan] = {
     val covered = mutable.Set[Long]()
     val inputs = mutable.LinkedHashSet[Hop]()
 

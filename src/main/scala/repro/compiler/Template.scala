@@ -65,12 +65,14 @@ object TemplateType {
   }
 
   /** t(X) %*% Y with row-aligned X and Y: per-row vectOuterMultAdd into a
-    * column-aggregated output (Row variant COL_AGG_B1_T). */
+    * column-aggregated output (Row variant COL_AGG_B1_T). X is a matrix:
+    * t(u) %*% Y with a column vector u is a dot product, not this pattern. */
   def isTransposeLeftMatMul(h: Hop): Boolean = h match {
-    case m: MatMulHop =>
-      m.left.isInstanceOf[TransposeHop] &&
-        m.left.asInstanceOf[TransposeHop].in.rows == m.right.rows &&
-        m.right.cols <= MaxNarrow && m.right.rows > 1
+    case m: MatMulHop => m.left match {
+      case t: TransposeHop =>
+        t.in.cols > 1 && t.in.rows == m.right.rows && m.right.cols <= MaxNarrow && m.right.rows > 1
+      case _ => false
+    }
     case _ => false
   }
 

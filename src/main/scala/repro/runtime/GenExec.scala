@@ -1,10 +1,8 @@
 package repro.runtime
 
-import java.io.ByteArrayOutputStream
-import java.net.URI
-import javax.tools._
+import org.codehaus.commons.compiler.CompileException
+import org.codehaus.janino.SimpleCompiler
 import scala.collection.concurrent.TrieMap
-import scala.jdk.CollectionConverters._
 
 /** Abstract genexec signatures implemented by generated operators — the
   * analogue of SystemML's SpoofCellwise/SpoofRowwise/SpoofOuterProduct
@@ -36,23 +34,15 @@ final case class ExecRef[T <: AnyRef](source: String) {
   def get: T = JavaBackend.threadInstance(source).asInstanceOf[T]
 }
 
-/** In-memory Java compilation of generated operators — the paper's javac
-  * path (Fig. 11; janino is not available offline, javac ships with the
-  * JDK). Compiled classes are cached per JVM, keyed by their source, and
+/** In-memory compilation of generated operators with janino, as in the
+  * paper (§2.1, Fig. 11): janino ships in Spark's jars and needs no JDK.
+  * Compiled classes are cached per JVM, keyed by their source, and
   * instances per thread. */
 object JavaBackend {
 
   /** Every generated class is `repro.codegen.GenOp`, each defined in its
     * own class loader, so its source alone identifies it. */
   val ClassName = "GenOp"
-
-  private lazy val compiler: JavaCompiler = {
-    val c = ToolProvider.getSystemJavaCompiler
-    if (c == null)
-      throw new IllegalStateException(
-        "no system Java compiler: code generation requires a JDK (with javac), not a JRE")
-    c
-  }
 
   private val classCache = TrieMap[String, Class[_]]()
   /** Bumped by `clearCache`; a thread's instances from an older generation
@@ -80,7 +70,7 @@ object JavaBackend {
     inst
   }
 
-  /** Make `source`'s class available; true iff this call ran javac for it.
+  /** Make `source`'s class available; true iff this call compiled it.
     * Exactly one of several concurrent callers with the same new source
     * compiles it. */
   def load(source: String): Boolean =
@@ -88,63 +78,26 @@ object JavaBackend {
       !classCache.contains(source) && { classCache.put(source, doCompile(source)); true }
     }
 
-  private final class MemSource(name: String, code: String)
-    extends SimpleJavaFileObject(URI.create(s"string:///repro/codegen/$name.java"), JavaFileObject.Kind.SOURCE) {
-    override def getCharContent(ignore: Boolean): CharSequence = code
-  }
-  private final class MemClass(name: String)
-    extends SimpleJavaFileObject(URI.create(s"mem:///$name.class"), JavaFileObject.Kind.CLASS) {
-    val bytes = new ByteArrayOutputStream()
-    override def openOutputStream(): ByteArrayOutputStream = bytes
-  }
-
-  // one standard file manager per JVM — a fresh one per compile would
-  // reopen (and leak) every classpath jar
-  private lazy val stdFm: StandardJavaFileManager =
-    compiler.getStandardFileManager(null, null, null)
-
-  /** javac's classpath: where the `repro.runtime` supertypes and helpers of
-    * generated code live, plus scala-library, which their class files
-    * reference. Not this JVM's whole classpath: under Spark that holds
-    * hundreds of jars, and javac would open and index every one of them. */
-  private lazy val javacClasspath: String =
-    Seq(classOf[CellExec], classOf[Option[_]]).map(codeSource).mkString(java.io.File.pathSeparator)
-
-  private def codeSource(c: Class[_]): String = {
-    val cs = c.getProtectionDomain.getCodeSource
-    if (cs == null || cs.getLocation == null)
-      throw new IllegalStateException(
-        s"cannot locate the code source of ${c.getName}, which javac needs on its classpath")
-    java.nio.file.Paths.get(cs.getLocation.toURI).toString
+  /** What generated code may see: the JDK, through the platform loader
+    * (which also resolves the `jdk.internal.*` classes that the JDK's
+    * generated reflection accessors use), and this JVM's `repro.runtime`
+    * and `scala` classes. Nothing else of the application classpath. */
+  private object RuntimeClasses extends ClassLoader(ClassLoader.getPlatformClassLoader) {
+    private val app = JavaBackend.getClass.getClassLoader
+    override def loadClass(name: String, resolve: Boolean): Class[_] =
+      if (name.startsWith("repro.runtime.") || name.startsWith("scala.")) app.loadClass(name)
+      else super.loadClass(name, resolve)
   }
 
   private def doCompile(source: String): Class[_] = {
-    val diag = new DiagnosticCollector[JavaFileObject]()
-    val outputs = TrieMap[String, MemClass]()
-    val fm = new ForwardingJavaFileManager[JavaFileManager](stdFm) {
-      override def getJavaFileForOutput(location: JavaFileManager.Location, name: String,
-                                        kind: JavaFileObject.Kind, sibling: FileObject): JavaFileObject = {
-        val mc = new MemClass(name)
-        outputs(name) = mc
-        mc
-      }
+    val compiler = new SimpleCompiler
+    compiler.setParentClassLoader(RuntimeClasses)
+    try compiler.cook(source)
+    catch {
+      case e: CompileException =>
+        throw new IllegalStateException(
+          s"janino failed to compile a generated operator:\n${e.getMessage}\n--- source ---\n$source")
     }
-    val options = List("-classpath", javacClasspath).asJava
-    val task = compiler.getTask(null, fm, diag, options, null,
-      List[JavaFileObject](new MemSource(ClassName, source)).asJava)
-    if (!task.call())
-      throw new IllegalStateException(
-        "javac failed:\n" + diag.getDiagnostics.asScala.mkString("\n") + "\n--- source ---\n" + source)
-    val parent = getClass.getClassLoader
-    val loader = new ClassLoader(parent) {
-      override def findClass(name: String): Class[_] =
-        outputs.get(name) match {
-          case Some(mc) =>
-            val bs = mc.bytes.toByteArray
-            defineClass(name, bs, 0, bs.length)
-          case None => throw new ClassNotFoundException(name)
-        }
-    }
-    loader.loadClass(s"repro.codegen.$ClassName")
+    compiler.getClassLoader.loadClass(s"repro.codegen.$ClassName")
   }
 }

@@ -257,6 +257,45 @@ class CodegenSpec extends SparkSpec {
     }
   }
 
+  // A Row operator for t(X) %*% Z accumulates one row of X per row of Z;
+  // with a column vector on the left that is a dot product, not a Row pattern.
+  test("t(u) %*% abs(u) with u 40x1 equals Base (1x1)") {
+    TestLA.modesAgree(genModes) { implicit ctx =>
+      val u = ctx.bindLocal("u", dense(40, 1, 58))
+      Seq(u.t %*% u.abs)
+    }
+  }
+
+  // ---- an Outer operator needs an input of the outer product's size -----
+  // Its skeleton iterates the cells of that input (the driver X); without
+  // one there is nothing to iterate, and U %*% t(V) stays a basic matmult.
+  test("(U %*% t(V)) * 0.5 with U 40x3, V 20x3 equals Base (40x20)") {
+    TestLA.modesAgree(genModes) { implicit ctx =>
+      val u = ctx.bindLocal("U", dense(40, 3, 59))
+      val v = ctx.bindLocal("V", dense(20, 3, 60))
+      Seq((u %*% v.t) * 0.5)
+    }
+  }
+  test("(u %*% t(v)) * 2.0 with u 40x1, v 20x1 equals Base (40x20)") {
+    TestLA.modesAgree(genModes) { implicit ctx =>
+      val u = ctx.bindLocal("u", dense(40, 1, 61))
+      val v = ctx.bindLocal("v", dense(20, 1, 62))
+      Seq((u %*% v.t) * 2.0)
+    }
+  }
+  test("((X != 0) * (U %*% t(V)) - X)^2 keeps its Outer operator") {
+    def build(ctx: ExecContext): Seq[MX] = {
+      implicit val c: ExecContext = ctx
+      val x = ctx.bindLocal("X", sparse(40, 20, 63))
+      val u = ctx.bindLocal("U", dense(40, 3, 64))
+      val v = ctx.bindLocal("V", dense(20, 3, 65))
+      Seq(((x.neq0 * (u %*% v.t)) - x) ^ 2.0)
+    }
+    TestLA.modesAgree(genModes)(build)
+    val plan = TestLA.genFusesAtLeast(1)(build)
+    assert(plan.ops.exists { case PFused(c) => c.tpe == OuterTpl; case _ => false }, plan)
+  }
+
   // ---- ExecRef: one instance per thread, Java serialization -------------
   /** Eq2's t(X) %*% (Q - P*rowSums(Q)): one Row operator whose generated
     * class keeps ring-buffer fields for its vector intermediates. */

@@ -73,7 +73,7 @@ class CostModelSpec extends SparkSpec {
     val x = new LeafHop("X", 100000, 300, 1.0) // wide + distributed
     val v = new LeafHop("v", 300, 1, 1.0)
     val mm = new MatMulHop(x, v)
-    val cplan = CPlan.construct(mm, RowTpl, Set(mm.id), IndexedSeq(x, v))
+    val cplan = CPlan.construct(mm, RowTpl, Set(mm.id), IndexedSeq(x, v)).get
     assert(CostModel.opCost(PFused(cplan), smallCfg).isPosInfinity)
   }
 
@@ -143,7 +143,7 @@ class CostModelSpec extends SparkSpec {
     val separate = magg.head.roots.map { r =>
       val covered = CPlan.coveredHops(r, magg.head.covered)
       val inputs = magg.head.inputs.filter(in => covered.exists(_.inputs.contains(in)))
-      CostModel.opCost(PFused(CPlan.construct(r, MAggTpl, covered.map(_.id).toSet, inputs)), cfg)
+      CostModel.opCost(PFused(CPlan.construct(r, MAggTpl, covered.map(_.id).toSet, inputs).get), cfg)
     }.sum
     assert(merged < separate)
   }
