@@ -79,6 +79,13 @@ case object RowColAgg  extends RowVariant // output 1 x m, accumulated
 case object RowFullAgg extends RowVariant // scalar
 case object RowColAggT extends RowVariant // t(X) %*% Z: output cols(X) x cols(Z) (COL_AGG_B1_T)
 
+/** Cell template output variants (paper Table 1). A full aggregate is a
+  * one-root MAgg operator, so a Cell operator never yields a scalar. */
+sealed trait CellVariant
+case object CellNoAgg extends CellVariant                    // output n x m
+final case class CellRowAgg(f: AggFunc) extends CellVariant // output n x 1
+final case class CellColAgg(f: AggFunc) extends CellVariant // output 1 x m
+
 /** Outer template output variants (paper Table 1). */
 sealed trait OuterVariant
 case object OuterNoAgg   extends OuterVariant // dense chain output (rare)
@@ -92,6 +99,8 @@ case object OuterLeftMM  extends OuterVariant // t(chain) %*% W
   * and sparse-safety of the chain w.r.t. the main input. Built once, when
   * [[PlanExtractor]] extracts the operator; the cost model, code
   * generation and the distributed runtime all read it, none re-derives it.
+  * `sparseSafe` alone decides whether a skeleton iterates only the
+  * non-zeros of a sparse main input; every Outer CPlan is sparse-safe.
   */
 final case class CPlan(
     tpe: TemplateType,
@@ -101,7 +110,7 @@ final case class CPlan(
     sparseSafe: Boolean,
     rowVariant: Option[RowVariant],
     outerVariant: Option[OuterVariant],
-    cellAgg: Option[(AggFunc, AggDir)],
+    cellVariant: Option[CellVariant],
     maggFuncs: IndexedSeq[AggFunc],
     rowDim: Long,
     chainRoot: Hop,                  // cell-wise part under the aggregate or closing matmult (MAgg: first root's)
@@ -124,6 +133,7 @@ object CPlan {
         case b: BinaryHop => b.op match {
           case Mult => safe(b.left) || safe(b.right)
           case Div  => safe(b.left)
+          case Plus | Minus => safe(b.left) && safe(b.right) // 0 +- 0 = 0
           case _    => false
         }
         case a: AggHop if a.func == SumAgg => safe(a.in)
@@ -138,21 +148,25 @@ object CPlan {
   /** Build the CPlan of the fused operator that [[PlanExtractor]] extracts
     * at `root`: the covered hops and its materialized inputs, in the order
     * extraction found them. None if the template cannot bind the inputs:
-    * an Outer operator without an input of the outer product's size. */
+    * an Outer operator without a sparse driver. A full aggregate is a
+    * one-root MAgg CPlan whether a Cell or an MAgg entry roots it. */
   private[compiler] def construct(root: Hop, tpe: TemplateType, covered: Set[Long],
                                   inputs: IndexedSeq[Hop]): Option[CPlan] = tpe match {
-    case CellTpl | MAggTpl => Some(constructCell(root, tpe, covered, inputs))
+    case CellTpl | MAggTpl => Some(constructCell(root, covered, inputs))
     case RowTpl            => Some(constructRow(root, covered, inputs))
     case OuterTpl          => constructOuter(root, covered, inputs)
   }
 
-  private def constructCell(root: Hop, tpe: TemplateType, covered: Set[Long],
-                            inputs: IndexedSeq[Hop]): CPlan = {
-    val chainRoot = chainOf(root, tpe, covered)
-    val cellAgg = root match {
-      case a: AggHop => Some((a.func, a.dir))
-      case _         => None
+  private def constructCell(root: Hop, covered: Set[Long], inputs: IndexedSeq[Hop]): CPlan = {
+    val (tpe, variant, funcs) = root match {
+      case a: AggHop => a.dir match {
+        case FullDir => (MAggTpl, None, IndexedSeq(a.func))
+        case RowDir  => (CellTpl, Some(CellRowAgg(a.func)), IndexedSeq.empty)
+        case ColDir  => (CellTpl, Some(CellColAgg(a.func)), IndexedSeq.empty)
+      }
+      case _ => (CellTpl, Some(CellNoAgg), IndexedSeq.empty)
     }
+    val chainRoot = chainOf(root, tpe, covered)
     // main input: the sparse driver; else the largest full-dimension input
     val driver = sparseDriver(chainRoot, covered, inputs)
     val main = driver
@@ -161,11 +175,7 @@ object CPlan {
     val ordered = main +: inputs.filterNot(_ eq main)
     CPlan(tpe, IndexedSeq(root), covered, ordered,
       sparseSafe = driver.isDefined,
-      rowVariant = None, outerVariant = None,
-      cellAgg = cellAgg,
-      maggFuncs =
-        if (tpe == MAggTpl) IndexedSeq(root.asInstanceOf[AggHop].func)
-        else IndexedSeq.empty,
+      rowVariant = None, outerVariant = None, cellVariant = variant, maggFuncs = funcs,
       rowDim = chainRoot.rows, chainRoot = chainRoot, wIdx = -1)
   }
 
@@ -194,7 +204,7 @@ object CPlan {
     val ordered = main +: inputs.filterNot(_ eq main)
     CPlan(RowTpl, IndexedSeq(root), covered, ordered,
       sparseSafe = false, // Row binds to whole rows; sparse rows handled by the skeleton
-      rowVariant = Some(variant), outerVariant = None, cellAgg = None,
+      rowVariant = Some(variant), outerVariant = None, cellVariant = None,
       maggFuncs = IndexedSeq.empty, rowDim = rowDim, chainRoot = chainOf(root, RowTpl, covered),
       wIdx = -1)
   }
@@ -231,14 +241,9 @@ object CPlan {
       .getOrElse(throw new IllegalStateException(s"Outer plan without opening matmult at $root"))
     val u = opening.left
     val v = opening.right.asInstanceOf[TransposeHop].in
-    // main = the sparse driver (the other operand of a covered mult/div),
-    // else any input of the outer product's size: the skeleton iterates
-    // its cells, so without one there is no Outer operator
-    val driver = sparseDriver(chainRoot, covered, inputs)
-    val main = driver.orElse(fullDim(inputs, chainRoot).headOption) match {
-      case Some(m) => m
-      case None    => return None
-    }
+    // main = the sparse driver: the skeleton iterates its non-zeros, so
+    // without one there is no Outer operator (paper §3.2)
+    val main = sparseDriver(chainRoot, covered, inputs).getOrElse(return None)
     val rest = inputs.filterNot(in => (in eq main) || (in eq u) || (in eq v))
     val ordered = IndexedSeq(main, u, v) ++ rest
     val (variant, wIdx) = root match {
@@ -250,22 +255,22 @@ object CPlan {
       case _ => (OuterNoAgg, -1)
     }
     Some(CPlan(OuterTpl, IndexedSeq(root), covered, ordered,
-      sparseSafe = driver.isDefined,
-      rowVariant = None, outerVariant = Some(variant), cellAgg = None,
+      sparseSafe = true,
+      rowVariant = None, outerVariant = Some(variant), cellVariant = None,
       maggFuncs = IndexedSeq.empty, rowDim = chainRoot.rows, chainRoot = chainRoot, wIdx = wIdx))
   }
 
-  /** Merge k full-aggregate cell plans into one multi-aggregate CPlan. */
-  private[compiler] def multiAgg(cells: Seq[CPlan]): CPlan = {
-    val main = cells.head.inputs.head
-    val inputs = (main +: cells.flatMap(_.inputs).filterNot(_ eq main).distinct).toIndexedSeq
-    CPlan(MAggTpl, cells.map(_.root).toIndexedSeq,
-      cells.flatMap(_.covered).toSet,
+  /** Merge k one-root MAgg CPlans into one multi-aggregate CPlan. */
+  private[compiler] def multiAgg(aggs: Seq[CPlan]): CPlan = {
+    val main = aggs.head.inputs.head
+    val inputs = (main +: aggs.flatMap(_.inputs).filterNot(_ eq main).distinct).toIndexedSeq
+    CPlan(MAggTpl, aggs.map(_.root).toIndexedSeq,
+      aggs.flatMap(_.covered).toSet,
       inputs,
-      sparseSafe = cells.forall(c => isSparseSafe(c.chainRoot, c.covered, main)),
-      rowVariant = None, outerVariant = None, cellAgg = None,
-      maggFuncs = cells.map(_.root.asInstanceOf[AggHop].func).toIndexedSeq,
-      rowDim = main.rows, chainRoot = cells.head.chainRoot, wIdx = -1)
+      sparseSafe = aggs.forall(c => isSparseSafe(c.chainRoot, c.covered, main)),
+      rowVariant = None, outerVariant = None, cellVariant = None,
+      maggFuncs = aggs.flatMap(_.maggFuncs).toIndexedSeq,
+      rowDim = main.rows, chainRoot = aggs.head.chainRoot, wIdx = -1)
   }
 
   /** All covered hops reachable from `root` (root included if covered). */

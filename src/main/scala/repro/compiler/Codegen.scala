@@ -53,7 +53,7 @@ object Codegen {
       CodegenStats.operatorsCompiled.incrementAndGet()
     } else CodegenStats.planCacheHits.incrementAndGet()
     cplan.tpe match {
-      case CellTpl  => new SpoofCellwise(cplan.cellAgg, cplan.sparseSafe, ExecRef(sources.head))
+      case CellTpl  => new SpoofCellwise(cplan.cellVariant.get, cplan.sparseSafe, ExecRef(sources.head))
       case MAggTpl  => new SpoofMultiAgg(cplan.maggFuncs, cplan.sparseSafe, sources.map(ExecRef[CellExec]))
       case RowTpl   => new SpoofRowwise(cplan.rowVariant.get, ExecRef(sources.head))
       case OuterTpl => new SpoofOuterProduct(cplan.outerVariant.get, cplan.wIdx, ExecRef(sources.head))

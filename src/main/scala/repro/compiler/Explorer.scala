@@ -1,12 +1,14 @@
 package repro.compiler
 
 import repro.core._
-import repro.runtime.Ops._
 
 /** OFMC candidate exploration (paper Algorithm 1): a single bottom-up,
   * template-oblivious pass over the HOP DAG that populates the memo table
   * with all valid partial fusion plans. Linear in the number of operators;
-  * at most O(2^|inputs| * |T|) entries per operator.
+  * at most O(2^|inputs| * |T|) entries per operator. Validity here is the
+  * templates' local OFMC conditions only; whether an entry's operator can
+  * bind its inputs (an Outer operator needs a sparse driver) is decided
+  * once, by [[CPlan.construct]] when [[PlanExtractor]] extracts it.
   */
 object Explorer {
 
@@ -36,10 +38,8 @@ object Explorer {
       val closedEntries = memo.entries(h.id).flatMap { e =>
         e.tpe.close(h) match {
           case ClosedInvalid => None
-          case ClosedValid =>
-            if (e.tpe == OuterTpl && !outerHasSparseDriver(h, e, memo)) None
-            else Some(e.copy(closed = ClosedValid))
-          case OpenValid => Some(e)
+          case ClosedValid   => Some(e.copy(closed = ClosedValid))
+          case OpenValid     => Some(e)
         }
       }
       memo.replace(h.id, closedEntries)
@@ -67,27 +67,4 @@ object Explorer {
     options.foldLeft(Seq(IndexedSeq.empty[Long])) { (acc, opts) =>
       for (a <- acc; o <- opts) yield a :+ o
     }
-
-  /** Outer templates are validated at close for the existence of a
-    * sparsity-exploiting operator in the covered chain: an element-wise
-    * multiply/divide is what lets the operator iterate only the non-zeros
-    * of the driver (paper §3.2). */
-  private def outerHasSparseDriver(h: Hop, e: MemoEntry, memo: MemoTable): Boolean = {
-    val seen = scala.collection.mutable.Set[Long]()
-    def walk(hop: Hop, entry: MemoEntry): Boolean = {
-      if (!seen.add(hop.id)) return false
-      val isDriverOp = hop match {
-        case b: BinaryHop => b.op == Mult || b.op == Div
-        case _            => false
-      }
-      isDriverOp || hop.inputs.indices.exists { j =>
-        entry.refs(j) >= 0 && {
-          val in = hop.inputs(j)
-          memo.entries(in.id).filter(x => entry.tpe.compatible.contains(x.tpe) || x.tpe == entry.tpe)
-            .exists(sub => walk(in, sub))
-        }
-      }
-    }
-    walk(h, e)
-  }
 }

@@ -2,7 +2,6 @@ package repro.compiler
 
 import scala.collection.mutable
 import repro.core._
-import repro.runtime.Ops._
 
 /** Turns the memo table plus a set of materialization decisions into a
   * concrete execution plan: for every HOP whose output must exist, either
@@ -30,10 +29,9 @@ object PlanExtractor {
 
   /** The operator of the best valid entry for starting an operator at `h`
     * (open or closed) whose CPlan binds its inputs; an Outer entry without
-    * an input of the outer product's size (such as the bare matmult) does
-    * not, and the next-ranked entry is tried. A bare transpose never roots
-    * a fused operator: its entries exist only to be merged into matmult
-    * patterns. */
+    * a sparse driver (such as the bare matmult) does not, and the
+    * next-ranked entry is tried. A bare transpose never roots a fused
+    * operator: its entries exist only to be merged into matmult patterns. */
   private def chooseBest(h: Hop, memo: MemoTable, mat: Set[(Long, Long)])
                         (implicit cache: ValidCache): Option[CPlan] =
     if (h.isInstanceOf[TransposeHop]) None
@@ -104,7 +102,7 @@ object PlanExtractor {
     def dims(c: CPlan) = (c.chainRoot.rows, c.chainRoot.cols)
 
     ops.foreach {
-      case PFused(cplan) if cplan.cellAgg.exists(_._2 == FullDir) =>
+      case PFused(cplan) if cplan.tpe == MAggTpl =>
         // group with an earlier aggregate sharing any input (max 3 per
         // group); chains must have identical dims to share one cell scan
         val grp = mergedAt.values.find(g =>

@@ -87,7 +87,6 @@ final class MX(val hop: Hop)(implicit ctx: ExecContext) {
 
   /** Evaluate this expression (one-root DAG). */
   def eval(): MatrixData = ctx.eval(Seq(this)).head
-  def evalScalar(): Double = eval().toLocal.get(0, 0)
 }
 
 object MX {
@@ -117,17 +116,6 @@ final class ExecContext(
   def bindLocal(name: String, b: MatrixBlock): MX = bind(name, LocalData(b))
   def bindDist(name: String, dm: DistMatrix): MX = bind(name, DistData(dm))
 
-  /** Update the data behind a leaf between iterations (dims must match);
-    * avoids growing the binding table across loop iterations. */
-  def rebind(m: MX, data: MatrixData): MX = {
-    require(m.hop.isInstanceOf[LeafHop], "can only rebind leaves")
-    require(m.hop.rows == data.rows && m.hop.cols == data.cols,
-      s"rebind dims ${data.rows}x${data.cols} != ${m.hop.rows}x${m.hop.cols}")
-    bindings(m.hop.id) = data
-    m
-  }
-  def rebindLocal(m: MX, b: MatrixBlock): MX = rebind(m, LocalData(b))
-
   /** Distribute a local block (helper for large-scale experiments); the
     * result is persisted and the caller releases it via `dm.unpersist()`. */
   def distribute(b: MatrixBlock): DistData =
@@ -140,8 +128,6 @@ final class ExecContext(
     val plan = compilePlan(hops)
     Executor.run(plan, hops, this)
   }
-
-  def evalScalar(m: MX): Double = eval(Seq(m)).head.toLocal.get(0, 0)
 
   /** Plan an execution for the given DAG roots (exposed for tests). */
   def compilePlan(hops: Seq[Hop]): ExecPlan = mode match {
@@ -208,7 +194,7 @@ object Executor {
 
   private def executeOp(op: POp, values: mutable.Map[Long, MatrixData], ctx: ExecContext): Unit = op match {
     case PBasic(h) =>
-      values(h.id) = place(h, Basic.execute(h, h.inputs.map(valueOf(_, values, ctx)), ctx), ctx)
+      values(h.id) = place(h, Basic.execute(h, h.inputs.map(valueOf(_, values, ctx))), ctx)
     case PFused(cplan) =>
       val res = executeFused(cplan, values, ctx)
       cplan.roots match {
@@ -256,7 +242,14 @@ object Executor {
   * the physical operator layer underneath every execution mode. */
 object Basic {
 
-  def execute(h: Hop, inputs: Seq[MatrixData], ctx: ExecContext): MatrixData = h match {
+  /** The local kernels read dense and sparse blocks: a compressed local
+    * input is decompressed once, here. */
+  def execute(h: Hop, inputs: Seq[MatrixData]): MatrixData = executeOp(h, inputs.map {
+    case LocalData(c: CompressedBlock) => LocalData(c.toDense)
+    case d                             => d
+  })
+
+  private def executeOp(h: Hop, inputs: Seq[MatrixData]): MatrixData = h match {
     case u: UnaryHop => inputs.head match {
       case LocalData(b) => LocalData(LocalOps.unary(u.op, b))
       case DistData(dm) => DistData(DistOps.unary(u.op, dm))

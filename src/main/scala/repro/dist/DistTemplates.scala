@@ -2,7 +2,6 @@ package repro.dist
 
 import repro.compiler._
 import repro.runtime._
-import repro.runtime.Ops._
 
 /** Distributed execution of generated fused operators: the main input is a
   * row-blocked [[DistMatrix]]; the compiled skeleton runs once per row
@@ -55,11 +54,10 @@ object DistTemplates {
   private def outputKind(cplan: CPlan): OutKind = {
     val root = cplan.root
     cplan.tpe match {
-      case CellTpl => cplan.cellAgg match {
-        case None               => BlockAligned(root.cols, root.sparsity)
-        case Some((_, RowDir))  => BlockAligned(1L, 1.0)
-        case Some((f, ColDir))  => ReduceBlocks(1, root.cols.toInt, DistOps.aggCombine(_ => f))
-        case Some((f, FullDir)) => ReduceBlocks(1, 1, DistOps.aggCombine(_ => f))
+      case CellTpl => cplan.cellVariant.get match {
+        case CellNoAgg     => BlockAligned(root.cols, root.sparsity)
+        case CellRowAgg(_) => BlockAligned(1L, 1.0)
+        case CellColAgg(f) => ReduceBlocks(1, root.cols.toInt, DistOps.aggCombine(_ => f))
       }
       case MAggTpl => ReduceBlocks(1, cplan.maggFuncs.length, DistOps.aggCombine(cplan.maggFuncs))
       case RowTpl => cplan.rowVariant.get match {

@@ -4,11 +4,13 @@ package repro.runtime
   * Algebra", following Elgohary et al. [28]).
   *
   * Each column is dense-dictionary-coded (DDC): a dictionary of distinct
-  * values plus one small code per row. The fused Cell skeleton
-  * ([[Spoof.SpoofCellwise]]) exploits this for single-input sparse-safe
-  * aggregations by executing the generated `genexec` only once per
-  * distinct value and weighting by its count — the paper's "remarkably
-  * close to hand-coded CLA" fast path.
+  * values plus one small code per row. The multi-aggregate skeleton
+  * ([[SpoofMultiAgg]]) exploits this for full sums over a single input,
+  * such as sum(X^2), by executing the generated `genexec` only once per
+  * distinct value of each column and weighting by its count — the paper's
+  * "remarkably close to hand-coded CLA" fast path. Every other consumer
+  * decompresses: the other skeletons through `toDense`/`get`, basic
+  * operators once in [[repro.core.Basic.execute]].
   *
   * Heterogeneous encodings and column co-coding of full CLA are out of
   * scope; DDC per column preserves the behaviour the paper measures

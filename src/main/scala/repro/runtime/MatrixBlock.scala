@@ -9,8 +9,8 @@ import java.util.SplittableRandom
   *  - [[DenseBlock]]: row-major `Array[Double]`.
   *  - [[SparseBlock]]: CSR (row pointers, column indices, values).
   *
-  * A third, compressed format lives in [[CompressedBlock]] (CLA-lite) and
-  * is only consumed through the fused-operator skeletons.
+  * A third, compressed format lives in [[CompressedBlock]] (CLA-lite);
+  * basic operators decompress it before their kernels run.
   */
 trait MatrixBlock extends Serializable {
   def rows: Int

@@ -4,12 +4,15 @@ import repro.compiler._
 import repro.runtime.Ops._
 
 /** Hand-coded skeletons of fused operators (paper §2.2 "Runtime
-  * Integration", Fig. 4). The skeleton owns the data access — dense,
-  * sparse, or compressed, cells or non-zeros depending on sparse-safety —
-  * and calls the generated `genexec` per value/row. Generated operators
-  * are Java classes produced by [[repro.compiler.Codegen]] (compiled
-  * in-memory); the skeleton + shared [[VectorPrims]] keep the
-  * per-operator instruction footprint small.
+  * Integration", Fig. 4). The skeleton owns the data access and calls the
+  * generated `genexec` per value/row. It iterates only the non-zeros of a
+  * sparse main input exactly when its CPlan is sparse-safe, a decision
+  * made once when the CPlan is bound; a compressed main input is read on
+  * its dictionaries by [[SpoofMultiAgg]] (one input, sums only) and
+  * decompressed by every other path. Generated operators are Java classes
+  * produced by [[repro.compiler.Codegen]] (compiled in-memory); the
+  * skeleton + shared [[VectorPrims]] keep the per-operator instruction
+  * footprint small.
   *
   * Each skeleton executes one local [[MatrixBlock]]; the distributed
   * runtime invokes the same skeletons per row block through
@@ -38,10 +41,10 @@ sealed trait SpoofOperator extends Serializable {
   def execute(inputs: IndexedSeq[MatrixBlock]): MatrixBlock
 }
 
-/** Cell template skeleton: iterates cells (or non-zeros when sparse-safe;
-  * or dictionary entries of compressed inputs) of the main input. */
+/** Cell template skeleton: iterates cells (or non-zeros when sparse-safe)
+  * of the main input. Full aggregates run in [[SpoofMultiAgg]]. */
 final class SpoofCellwise(
-    val agg: Option[(AggFunc, AggDir)],
+    val variant: CellVariant,
     val sparseSafe: Boolean,
     val exec: ExecRef[CellExec],
 ) extends SpoofOperator {
@@ -50,49 +53,13 @@ final class SpoofCellwise(
     val inputs = Spoof.prepSides(inputs0)
     val gx = exec.get
     inputs(0) match {
-      case c: CompressedBlock if inputs.length == 1 && compressedFastPath =>
-        executeCompressed(gx, c, inputs)
-      case c: CompressedBlock =>
-        val repl = inputs.clone(); repl(0) = c.toDense
-        executeGeneric(gx, repl)
       case s: SparseBlock if sparseSafe => executeSparse(gx, s, inputs)
       case _ => executeGeneric(gx, inputs)
     }
   }
 
-  /** Single input + additive aggregation: execute once per distinct
-    * dictionary value, weighted by its count (paper §5.2 CLA). */
-  private def compressedFastPath: Boolean = agg match {
-    case Some((SumAgg, FullDir)) | Some((SumAgg, ColDir)) => true
-    case _ => false
-  }
-
-  private def executeCompressed(gx: CellExec, c: CompressedBlock, inputs: Array[MatrixBlock]): MatrixBlock = agg match {
-    case Some((SumAgg, FullDir)) =>
-      var acc = 0.0
-      var j = 0
-      while (j < c.cols) {
-        val g = c.groups(j)
-        var d = 0
-        while (d < g.dict.length) { acc += gx.genexec(g.dict(d), inputs, 0, j) * g.counts(d); d += 1 }
-        j += 1
-      }
-      MatrixBlock.dense(1, 1, Array(acc))
-    case Some((SumAgg, ColDir)) =>
-      val out = new Array[Double](c.cols)
-      var j = 0
-      while (j < c.cols) {
-        val g = c.groups(j)
-        var d = 0
-        while (d < g.dict.length) { out(j) += gx.genexec(g.dict(d), inputs, 0, j) * g.counts(d); d += 1 }
-        j += 1
-      }
-      MatrixBlock.dense(1, c.cols, out)
-    case _ => throw new IllegalStateException("unsupported compressed agg")
-  }
-
-  private def executeSparse(gx: CellExec, s: SparseBlock, inputs: Array[MatrixBlock]): MatrixBlock = agg match {
-    case None =>
+  private def executeSparse(gx: CellExec, s: SparseBlock, inputs: Array[MatrixBlock]): MatrixBlock = variant match {
+    case CellNoAgg =>
       val vals = new Array[Double](s.vals.length)
       var i = 0
       while (i < s.rows) {
@@ -101,57 +68,44 @@ final class SpoofCellwise(
         i += 1
       }
       new SparseBlock(s.rows, s.cols, s.rowPtr, s.colIdx, vals)
-    case Some((f, dir)) =>
-      dir match {
-        case FullDir =>
-          var acc = f.init
-          var i = 0
-          while (i < s.rows) {
-            var q = s.rowPtr(i)
-            while (q < s.rowPtr(i + 1)) { acc = f(acc, gx.genexec(s.vals(q), inputs, i, s.colIdx(q))); q += 1 }
-            i += 1
-          }
-          // pseudo-sparse-safe aggregation: min/max observe implicit zeros
-          if (f != SumAgg && s.nnz < s.numCells) acc = f(acc, 0.0)
-          MatrixBlock.dense(1, 1, Array(acc))
-        case RowDir =>
-          val out = new Array[Double](s.rows)
-          if (f != SumAgg) java.util.Arrays.fill(out, f.init)
-          var i = 0
-          while (i < s.rows) {
-            var q = s.rowPtr(i)
-            while (q < s.rowPtr(i + 1)) { out(i) = f(out(i), gx.genexec(s.vals(q), inputs, i, s.colIdx(q))); q += 1 }
-            if (f != SumAgg && s.rowPtr(i + 1) - s.rowPtr(i) < s.cols) out(i) = f(out(i), 0.0)
-            i += 1
-          }
-          MatrixBlock.dense(s.rows, 1, out)
-        case ColDir =>
-          val out = new Array[Double](s.cols)
-          if (f != SumAgg) java.util.Arrays.fill(out, f.init)
-          var i = 0
-          while (i < s.rows) {
-            var q = s.rowPtr(i)
-            while (q < s.rowPtr(i + 1)) {
-              val cix = s.colIdx(q)
-              out(cix) = f(out(cix), gx.genexec(s.vals(q), inputs, i, cix))
-              q += 1
-            }
-            i += 1
-          }
-          if (f != SumAgg && s.nnz < s.numCells) {
-            var c = 0
-            while (c < s.cols) { out(c) = f(out(c), 0.0); c += 1 }
-          }
-          MatrixBlock.dense(1, s.cols, out)
+    // pseudo-sparse-safe aggregation: min/max observe implicit zeros
+    case CellRowAgg(f) =>
+      val out = new Array[Double](s.rows)
+      if (f != SumAgg) java.util.Arrays.fill(out, f.init)
+      var i = 0
+      while (i < s.rows) {
+        var q = s.rowPtr(i)
+        while (q < s.rowPtr(i + 1)) { out(i) = f(out(i), gx.genexec(s.vals(q), inputs, i, s.colIdx(q))); q += 1 }
+        if (f != SumAgg && s.rowPtr(i + 1) - s.rowPtr(i) < s.cols) out(i) = f(out(i), 0.0)
+        i += 1
       }
+      MatrixBlock.dense(s.rows, 1, out)
+    case CellColAgg(f) =>
+      val out = new Array[Double](s.cols)
+      if (f != SumAgg) java.util.Arrays.fill(out, f.init)
+      var i = 0
+      while (i < s.rows) {
+        var q = s.rowPtr(i)
+        while (q < s.rowPtr(i + 1)) {
+          val cix = s.colIdx(q)
+          out(cix) = f(out(cix), gx.genexec(s.vals(q), inputs, i, cix))
+          q += 1
+        }
+        i += 1
+      }
+      if (f != SumAgg && s.nnz < s.numCells) {
+        var c = 0
+        while (c < s.cols) { out(c) = f(out(c), 0.0); c += 1 }
+      }
+      MatrixBlock.dense(1, s.cols, out)
   }
 
   private def executeGeneric(gx: CellExec, inputs: Array[MatrixBlock]): MatrixBlock = {
     val main = inputs(0).toDense
     val mv = main.values
     val n = main.rows; val m = main.cols
-    agg match {
-      case None =>
+    variant match {
+      case CellNoAgg =>
         val out = new Array[Double](n * m)
         var i = 0
         while (i < n) {
@@ -161,17 +115,7 @@ final class SpoofCellwise(
           i += 1
         }
         new DenseBlock(n, m, out)
-      case Some((f, FullDir)) =>
-        var acc = f.init
-        var i = 0
-        while (i < n) {
-          var j = 0
-          val off = i * m
-          while (j < m) { acc = f(acc, gx.genexec(mv(off + j), inputs, i, j)); j += 1 }
-          i += 1
-        }
-        MatrixBlock.dense(1, 1, Array(acc))
-      case Some((f, RowDir)) =>
+      case CellRowAgg(f) =>
         val out = new Array[Double](n)
         var i = 0
         while (i < n) {
@@ -183,7 +127,7 @@ final class SpoofCellwise(
           i += 1
         }
         MatrixBlock.dense(n, 1, out)
-      case Some((f, ColDir)) =>
+      case CellColAgg(f) =>
         val out = new Array[Double](m)
         if (f != SumAgg) java.util.Arrays.fill(out, f.init)
         var i = 0
@@ -198,8 +142,10 @@ final class SpoofCellwise(
   }
 }
 
-/** Multi-aggregate skeleton: k full aggregates over shared inputs computed
-  * in one pass over the main input; output is 1 x k. */
+/** Multi-aggregate skeleton, the one skeleton of full aggregates: k of
+  * them over shared inputs computed in one pass over the main input
+  * (cells, non-zeros when sparse-safe, or, for one compressed input and
+  * sums only, dictionary entries); output is 1 x k. */
 final class SpoofMultiAgg(
     val funcs: IndexedSeq[AggFunc],
     val sparseSafe: Boolean,
@@ -212,6 +158,20 @@ final class SpoofMultiAgg(
     val fns = funcs.toArray
     val acc = fns.map(_.init)
     inputs(0) match {
+      case c: CompressedBlock if inputs.length == 1 && fns.forall(_ == SumAgg) =>
+        // CLA: genexec once per distinct value of each column, weighted by
+        // its count (paper §5.2)
+        var j = 0
+        while (j < c.cols) {
+          val g = c.groups(j)
+          var d = 0
+          while (d < g.dict.length) {
+            var k = 0
+            while (k < acc.length) { acc(k) += gxs(k).genexec(g.dict(d), inputs, 0, j) * g.counts(d); k += 1 }
+            d += 1
+          }
+          j += 1
+        }
       case s: SparseBlock if sparseSafe =>
         var i = 0
         while (i < s.rows) {
@@ -338,8 +298,9 @@ final class SpoofRowwise(
   }
 }
 
-/** Outer-product template skeleton: iterates (non-zero) cells of the
-  * driver X with row access to the factors U and V (paper Fig. 3(a)). */
+/** Outer-product template skeleton: iterates the cells of the driver X,
+  * only its non-zeros when X is sparse (every Outer CPlan is sparse-safe
+  * w.r.t. X), with row access to the factors U and V (paper Fig. 3(a)). */
 final class SpoofOuterProduct(
     val variant: OuterVariant,
     /** Index of the closing matmult's other operand W in the inputs (MM variants). */

@@ -31,6 +31,13 @@ object TestLA {
     }
   }
 
+  /** The plan of the DAG under Gen, Gen-FA and Gen-FNR, with each mode's label. */
+  def genPlans(build: ExecContext => Seq[MX]): Seq[(String, ExecPlan)] =
+    Seq(CostBased, FuseAll, FuseNoRedundancy).map { policy =>
+      val ctx = new ExecContext(GenMode(policy))
+      ctx.mode.label -> ctx.compilePlan(build(ctx).map(_.hop))
+    }
+
   /** Assert that the Gen plan for the DAG contains at least `n` fused
     * operators (guards against silently falling back to basic ops). */
   def genFusesAtLeast(n: Int)(build: ExecContext => Seq[MX]): ExecPlan = {

@@ -296,6 +296,64 @@ class CodegenSpec extends SparkSpec {
     assert(plan.ops.exists { case PFused(c) => c.tpe == OuterTpl; case _ => false }, plan)
   }
 
+  // ---- an Outer operator iterates only the non-zeros of its driver ------
+  // so it binds only where the chain is sparse-safe w.r.t. that driver
+  // (0 + 1 is not 0); otherwise Gen must fall back to another plan.
+  private def outerFactors(ctx: ExecContext): (MX, MX, MX) =
+    (ctx.bindLocal("X", sparse(40, 20, 66)), ctx.bindLocal("U", dense(40, 3, 67)),
+      ctx.bindLocal("V", dense(20, 3, 68)))
+  test("X * (U %*% t(V)) + 1.0 over sparse X equals Base") {
+    TestLA.modesAgree(tol = 1e-8) { implicit ctx =>
+      val (x, u, v) = outerFactors(ctx)
+      Seq(x * (u %*% v.t) + 1.0)
+    }
+  }
+  test("sum((X + 1.0) * (U %*% t(V))) over sparse X equals Base") {
+    TestLA.modesAgree(tol = 1e-8) { implicit ctx =>
+      val (x, u, v) = outerFactors(ctx)
+      Seq(((x + 1.0) * (u %*% v.t)).sum)
+    }
+  }
+  test("the ALS loss is one sparse-safe Outer operator rooted at the sum") {
+    val plans = TestLA.genPlans { implicit ctx =>
+      val (x, u, v) = outerFactors(ctx)
+      Seq((((x.neq0 * (u %*% v.t)) - x) ^ 2.0).sum)
+    }
+    for ((label, plan) <- plans) plan.ops match {
+      case Seq(PFused(c)) =>
+        assert(c.tpe == OuterTpl && c.sparseSafe && c.outerVariant.contains(OuterFullAgg), s"$label: $plan")
+      case _ => fail(s"$label: expected one fused operator:\n$plan")
+    }
+  }
+
+  // ---- min/max multi-aggregates over sparse S ---------------------------
+  // S holds only positive values, so the min of abs(S) + S and the max of
+  // -S are the implicit zeros a sparse iteration must not miss.
+  test("min/max multi-aggregates over sparse S observe implicit zeros") {
+    def build(ctx: ExecContext): Seq[MX] = {
+      implicit val c: ExecContext = ctx
+      val s = ctx.bindLocal("S", MatrixBlock.rand(40, 30, 0.2, 69, min = 0.1, max = 1))
+      Seq((s * 2.0).maxAll, (s.abs + s).minAll, (s * -1.0).maxAll)
+    }
+    TestLA.modesAgree()(build)
+    val plan = TestLA.genFusesAtLeast(1)(build)
+    assert(plan.ops.exists { case PFused(c) => c.tpe == MAggTpl && c.sparseSafe; case _ => false }, plan)
+  }
+
+  // ---- Cell row and column aggregates -----------------------------------
+  // Over an ultra-sparse wide X the Row template is filtered out (its
+  // skeleton would densify every row), so Cell operators aggregate.
+  test("Cell row and column aggregates over ultra-sparse wide X equal Base") {
+    def build(ctx: ExecContext): Seq[MX] = {
+      implicit val c: ExecContext = ctx
+      val x = ctx.bindLocal("X", MatrixBlock.rand(1100, 1000, 0.01, 70, min = -1, max = 1))
+      Seq((x * 2.0).rowSums, x.abs.colSums, (x * 3.0).rowMaxs, (x * 3.0).rowMins)
+    }
+    TestLA.modesAgree(tol = 1e-8)(build)
+    val variants = TestLA.genFusesAtLeast(1)(build).ops.collect { case PFused(c) if c.tpe == CellTpl => c.cellVariant.get }
+    assert(variants.exists(_.isInstanceOf[CellRowAgg]) && variants.exists(_.isInstanceOf[CellColAgg]), variants)
+  }
+
   // ---- ExecRef: one instance per thread, Java serialization -------------
   /** Eq2's t(X) %*% (Q - P*rowSums(Q)): one Row operator whose generated
     * class keeps ring-buffer fields for its vector intermediates. */

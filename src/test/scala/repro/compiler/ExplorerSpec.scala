@@ -1,6 +1,6 @@
 package repro.compiler
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestLA}
 import repro.core._
 import repro.runtime._
 
@@ -86,7 +86,7 @@ class ExplorerSpec extends SparkSpec {
     assert(memo.entries(mm.id).exists(e2 => e2.tpe == RowTpl && e2.refs(1) == chain.id))
   }
 
-  test("outer template opens at U t(V) and validates the sparse driver at close") {
+  test("outer template opens at U t(V) and closes at the full aggregate") {
     implicit val c: ExecContext = ctx
     val x = c.bindLocal("X", sparse(40, 35))
     val u = c.bindLocal("U", dense(40, 5))
@@ -96,13 +96,18 @@ class ExplorerSpec extends SparkSpec {
     assert(memo.entries(withDriver.hop.id).exists(e => e.tpe == OuterTpl && e.isClosedValid))
   }
 
-  test("outer template without sparsity-exploiting op is closed-invalid (removed)") {
-    implicit val c: ExecContext = ctx
-    val u = c.bindLocal("U", dense(40, 5))
-    val v = c.bindLocal("V", dense(35, 5))
-    val noDriver = ((u %*% v.t) + 1.0).sum
-    val memo = Explorer.explore(Seq(noDriver.hop))
-    assert(!memo.entries(noDriver.hop.id).exists(_.tpe == OuterTpl))
+  // without a sparse driver there is nothing for an Outer skeleton to
+  // iterate: its CPlan does not bind, and extraction takes another entry
+  test("outer template without a sparse driver binds no Outer operator") {
+    def build(c: ExecContext): Seq[MX] = {
+      implicit val ic: ExecContext = c
+      val u = c.bindLocal("U", dense(40, 5))
+      val v = c.bindLocal("V", dense(35, 5))
+      Seq(((u %*% v.t) + 1.0).sum)
+    }
+    for ((label, plan) <- TestLA.genPlans(build))
+      assert(!plan.ops.exists { case PFused(cp) => cp.tpe == OuterTpl; case _ => false }, s"$label: $plan")
+    TestLA.modesAgree(tol = 1e-8)(build)
   }
 
   test("multi-aggregate template opens at full aggregates") {

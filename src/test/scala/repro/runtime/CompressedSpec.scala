@@ -1,12 +1,13 @@
 package repro.runtime
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestLA}
 import repro.core._
-import repro.compiler.CostBased
+import repro.compiler.{CostBased, FuseAll, FuseNoRedundancy}
 import repro.runtime.Ops._
 
-/** CLA-lite compressed blocks and the compressed fast path of the fused
-  * Cell skeleton (paper §5.2 "Compressed Linear Algebra"). */
+/** CLA-lite compressed blocks, the dictionary path of the multi-aggregate
+  * skeleton, and every mode over compressed leaves (paper §5.2
+  * "Compressed Linear Algebra"). */
 class CompressedSpec extends SparkSpec {
 
   // few distinct values per column => high compression (like Airline78)
@@ -32,12 +33,25 @@ class CompressedSpec extends SparkSpec {
   }
 
   test("fused sum(X^2) over compressed executes on the dictionary") {
-    val ctx = new ExecContext(GenMode(CostBased))
-    implicit val c: ExecContext = ctx
-    val x = ctx.bindLocal("X", comp)
-    val got = ctx.eval(Seq((x ^ 2.0).sum)).head.toLocal.get(0, 0)
-    val expect = (0 until 200).flatMap(i => (0 until 8).map(j => math.pow(base.get(i, j), 2))).sum
-    assert(math.abs(got - expect) < 1e-9)
+    // 200,000 x 8 with 5 distinct values per column: decompressing it
+    // would allocate 12.8 MB, the dictionaries hold 40 values
+    val big = MatrixBlock.tabulate(200000, 8)((i, j) => ((i * 7 + j) % 5).toDouble)
+    val bigComp = CompressedBlock.compress(big)
+    val expect = big.values.map(v => v * v).sum
+    val threads = java.lang.management.ManagementFactory.getThreadMXBean
+      .asInstanceOf[com.sun.management.ThreadMXBean]
+    for (policy <- Seq(CostBased, FuseAll, FuseNoRedundancy)) {
+      val ctx = new ExecContext(GenMode(policy))
+      implicit val c: ExecContext = ctx
+      val x = ctx.bindLocal("X", bigComp)
+      def sumSq(): Double = ctx.eval(Seq((x ^ 2.0).sum)).head.toLocal.get(0, 0)
+      assert(sumSq() == expect, ctx.mode.label) // cold: compiles the operator
+      val before = threads.getCurrentThreadAllocatedBytes
+      val got = sumSq()
+      val mb = (threads.getCurrentThreadAllocatedBytes - before) / 1e6
+      assert(got == expect, ctx.mode.label)
+      assert(mb < 1.0, s"${ctx.mode.label}: a warm sum(X^2) allocated $mb MB")
+    }
   }
   test("fused colSums(X*2) over compressed matches dense") {
     val ctx = new ExecContext(GenMode(CostBased))
@@ -62,6 +76,33 @@ class CompressedSpec extends SparkSpec {
     val got = repro.compiler.HandCoded.sumSqLocal(comp).get(0, 0)
     val expect = (0 until 200).flatMap(i => (0 until 8).map(j => math.pow(base.get(i, j), 2))).sum
     assert(math.abs(got - expect) < 1e-9)
+  }
+  /** `expr(X, v)` over the compressed leaf X equals Base over the dense
+    * block, in every mode; v is a dense 8 x 1 vector. */
+  private def agreesWithDense(expr: (MX, MX) => MX): Unit = {
+    val v = MatrixBlock.rand(8, 1, 1.0, 6, min = -1, max = 1)
+    def run(mode: ExecMode, x: MatrixBlock): MatrixBlock = {
+      val ctx = new ExecContext(mode)
+      ctx.eval(Seq(expr(ctx.bindLocal("X", x), ctx.bindLocal("v", v)))).head.toLocal
+    }
+    val expect = run(BaseMode, base)
+    for (mode <- TestLA.allModes) {
+      val got = run(mode, comp)
+      assert(got.rows == expect.rows && got.cols == expect.cols, s"${mode.label}: ${got.rows}x${got.cols}")
+      assert(MatrixBlock.maxAbsDiff(got, expect) < 1e-9, mode.label)
+    }
+  }
+  test("sum(X) over a compressed leaf equals the dense result in all modes") {
+    agreesWithDense((x, _) => x.sum)
+  }
+  test("t(X) over a compressed leaf equals the dense result in all modes") {
+    agreesWithDense((x, _) => x.t)
+  }
+  test("X %*% v over a compressed leaf equals the dense result in all modes") {
+    agreesWithDense(_ %*% _)
+  }
+  test("rowSums(X) over a compressed leaf equals the dense result in all modes") {
+    agreesWithDense((x, _) => x.rowSums)
   }
   test("compressed base-mode ops decompress correctly") {
     val ctx = new ExecContext(BaseMode)
