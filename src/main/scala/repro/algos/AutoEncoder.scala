@@ -42,25 +42,7 @@ object AutoEncoder {
       val w3B = ctx.bindLocal(s"w3_$it", w3); val b3B = ctx.bindLocal(s"b3_$it", b3)
       val w4B = ctx.bindLocal(s"w4_$it", w4); val b4B = ctx.bindLocal(s"b4_$it", b4)
 
-      // forward + backward in one DAG (shared activations are CSEs)
-      val a1 = ((xb %*% w1B) + b1B).sigmoid
-      val a2 = ((a1 %*% w2B) + b2B).sigmoid
-      val a3 = ((a2 %*% w3B) + b3B).sigmoid
-      val out = (a3 %*% w4B) + b4B
-      val err = out - xb
-      val lossExpr = (err ^ 2.0).sum
-
-      val d4 = err                                     // linear output layer
-      val d3 = (d4 %*% w4B.t) * a3 * (MX.lit(1.0) - a3)
-      val d2 = (d3 %*% w3B.t) * a2 * (MX.lit(1.0) - a2)
-      val d1 = (d2 %*% w2B.t) * a1 * (MX.lit(1.0) - a1)
-
-      val gw4 = a3.t %*% d4; val gb4 = d4.colSums
-      val gw3 = a2.t %*% d3; val gb3 = d3.colSums
-      val gw2 = a1.t %*% d2; val gb2 = d2.colSums
-      val gw1 = xb.t %*% d1; val gb1 = d1.colSums
-
-      val res = ctx.eval(Seq(lossExpr, gw1, gb1, gw2, gb2, gw3, gb3, gw4, gb4)).map(_.toLocal)
+      val res = ctx.eval(batchDag(xb, Seq(w1B, b1B, w2B, b2B, w3B, b3B, w4B, b4B))).map(_.toLocal)
       loss = res(0).get(0, 0)
       w1 = axpy(w1, res(1), -eta); b1 = axpy(b1, res(2), -eta)
       w2 = axpy(w2, res(3), -eta); b2 = axpy(b2, res(4), -eta)
@@ -69,5 +51,29 @@ object AutoEncoder {
       it += 1
     }
     AlgoRun("AutoEncoder", it, loss)
+  }
+
+  /** One mini-batch step as one DAG, forward and backward, so the shared
+    * activations are CSEs. `params` are w1, b1, …, w4, b4; the roots are
+    * the loss, then the gradient of each parameter in that order. */
+  def batchDag(xb: MX, params: Seq[MX])(implicit ctx: ExecContext): Seq[MX] = {
+    val Seq(w1B, b1B, w2B, b2B, w3B, b3B, w4B, b4B) = params
+    val a1 = ((xb %*% w1B) + b1B).sigmoid
+    val a2 = ((a1 %*% w2B) + b2B).sigmoid
+    val a3 = ((a2 %*% w3B) + b3B).sigmoid
+    val out = (a3 %*% w4B) + b4B
+    val err = out - xb
+    val lossExpr = (err ^ 2.0).sum
+
+    val d4 = err                                     // linear output layer
+    val d3 = (d4 %*% w4B.t) * a3 * (MX.lit(1.0) - a3)
+    val d2 = (d3 %*% w3B.t) * a2 * (MX.lit(1.0) - a2)
+    val d1 = (d2 %*% w2B.t) * a1 * (MX.lit(1.0) - a1)
+
+    val gw4 = a3.t %*% d4; val gb4 = d4.colSums
+    val gw3 = a2.t %*% d3; val gb3 = d3.colSums
+    val gw2 = a1.t %*% d2; val gb2 = d2.colSums
+    val gw1 = xb.t %*% d1; val gb1 = d1.colSums
+    Seq(lossExpr, gw1, gb1, gw2, gb2, gw3, gb3, gw4, gb4)
   }
 }

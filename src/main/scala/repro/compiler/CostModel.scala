@@ -113,36 +113,27 @@ object CostModel {
     writeTime + math.max(readTime, computeTime) + latency
   }
 
-  /** Cost of the full plan, optionally restricted to operators touching
-    * `scope` (a plan partition), with early exit once the running cost
-    * exceeds `bound` (partial costing, paper §4.4). */
-  def planCost(plan: ExecPlan, cfg: CostConfig,
-               scope: Option[Set[Long]] = None,
-               bound: Double = Double.PositiveInfinity): Double = {
-    var c = 0.0
-    val it = plan.ops.iterator
-    while (it.hasNext && c < bound) {
-      val op = it.next()
-      val inScope = scope.forall(s =>
-        op.outputs.exists(o => s.contains(o.id)) || opCoversScope(op, s))
-      if (inScope) c += opCost(op, cfg)
-    }
-    c
-  }
+  /** Cost of the full plan, optionally restricted to the operators of
+    * `scope` (a plan partition). */
+  def planCost(plan: ExecPlan, cfg: CostConfig, scope: Option[Set[Long]] = None): Double =
+    plan.ops.iterator.filter(op => scope.forall(inScope(op, _))).map(opCost(_, cfg)).sum
 
-  private def opCoversScope(op: POp, scope: Set[Long]): Boolean = op match {
-    case PFused(cplan) => cplan.covered.exists(scope.contains)
-    case _             => false
-  }
+  /** Does `op` belong to the cost of partition `scope`: it materializes
+    * one of the partition's nodes or covers one inside a fused operator? */
+  def inScope(op: POp, scope: Set[Long]): Boolean =
+    op.outputs.exists(o => scope.contains(o.id)) || (op match {
+      case PFused(cplan) => cplan.covered.exists(scope.contains)
+      case _             => false
+    })
 
-  /** Lower bound of any plan of `partition` under assignment `q` (paper
-    * §4.4, C_lb = C_static + GetMPCost): reads of partition inputs,
-    * minimal computation (each node once, at the best possible sparsity
-    * scaling), writes of partition roots, plus one write + read per
-    * distinct materialized target. Since per-operator cost is
-    * write + max(read, compute), summing max(Σread, Σcompute) is sound. */
-  def lowerBound(partition: PlanPartition, memo: MemoTable,
-                 materializedTargets: Set[Long], cfg: CostConfig): Double = {
+  /** Lower bound of any plan of `partition` as a function of its
+    * materialized targets (paper §4.4, C_lb = C_static + GetMPCost): reads
+    * of partition inputs, minimal computation (each node once, at the best
+    * possible sparsity scaling), writes of partition roots, plus one
+    * write + read per distinct materialized target. Since per-operator cost
+    * is write + max(read, compute), summing max(Σread, Σcompute) is sound.
+    * The static part is computed once, when the bound is built. */
+  def lowerBound(partition: PlanPartition, memo: MemoTable, cfg: CostConfig): Set[Long] => Double = {
     val readFloor =
       partition.inputs.toSeq.map(id => sizeBytes(memo.hop(id)) / cfg.readBandwidth).sum
     val writeFloor =
@@ -152,10 +143,10 @@ object CostModel {
       (partition.nodes ++ partition.inputs).map(id => memo.hop(id).sparsity).minOption.getOrElse(1.0))
     val computeFloor =
       partition.nodes.toSeq.map(id => flops(memo.hop(id))).sum * minScale / cfg.computeBandwidth
-    val mp = materializedTargets.toSeq.map { id =>
+    val static = math.max(readFloor, computeFloor) + writeFloor
+    materializedTargets => static + materializedTargets.toSeq.map { id =>
       val h = memo.hop(id)
       sizeBytes(h) / cfg.writeBandwidth + sizeBytes(h) / cfg.readBandwidth
     }.sum
-    math.max(readFloor, computeFloor) + writeFloor + mp
   }
 }

@@ -1,5 +1,6 @@
 package repro.compiler
 
+import scala.collection.immutable.BitSet
 import scala.collection.mutable
 import repro.core._
 
@@ -16,10 +17,12 @@ case object CostBased        extends Policy // Gen: MPSkipEnum per partition
   */
 object Selector {
 
-  /** Safety cap on interesting points per (sub-)problem (1024 plans before
-    * pruning). Beyond the cap the tail points keep the opening heuristic's
-    * assignment (false = fused), mirroring the paper's reliance on
-    * partitioning keeping per-partition point counts small. */
+  /** Cap on the interesting points a partition enumerates (1024 plans
+    * before pruning). The paper enumerates every point; a partition with
+    * more keeps its first `MaxPoints` in the search and gives the tail the
+    * values of the cheaper full heuristic assignment, fuse-all or
+    * fuse-no-redundancy ([[enumeratePartition]]). Without a tighter lower
+    * bound, pruning skips too few plans to lift the cap. */
   val MaxPoints = 10
 
   /** Selection cache: optimal materialization decisions per structural DAG
@@ -110,43 +113,51 @@ object Selector {
   // ------------------------------------------------------- MPSkipEnum
 
   /** Enumerate one partition's interesting points; returns the
-    * materialized-edge set of the optimal assignment (paper Algorithm 2). */
+    * materialized-edge set of the optimal assignment (paper Algorithm 2).
+    * Above the cap, the tail points take the values of the cheaper of two
+    * full assignments, fuse-all and fuse-no-redundancy, whose cost also
+    * opens the search as its upper bound: the result is never worse than
+    * either heuristic. */
   def enumeratePartition(dagRoots: Seq[Hop], memo: MemoTable, p: PlanPartition,
                          cfg: CostConfig): Set[(Long, Long)] = {
     if (p.points.isEmpty) return Set.empty
-    // cap the per-partition search space; tail points stay fused (opening
-    // heuristic assignment)
-    val capped = p.copy(points = p.points.take(MaxPoints))
-    val layout = orderByCutSet(memo, capped)
-    val q = mpSkipEnum(dagRoots, memo, capped, cfg, layout.points, layout.cutSet, forced = Set.empty)
-    layout.points.zipWithIndex.collect { case (pt, i) if q(i) => pt.edge }.toSet
+    val planCost = new PlanExtractor.PartitionCost(dagRoots, memo, p, cfg)
+    val seed = Option.when(p.points.length > MaxPoints) {
+      val fuseAll = BitSet.empty
+      val fuseNoRedundancy = BitSet.fromSpecific(p.points.indices.filterNot(p.points(_).isSwitch))
+      Seq(fuseAll, fuseNoRedundancy).map { q =>
+        CodegenStats.plansEvaluated.incrementAndGet()
+        (q, planCost(q))
+      }.minBy(_._2)
+    }
+    val forced = seed.fold(BitSet.empty)(_._1.filter(_ >= MaxPoints))
+    val layout = orderByCutSet(memo, p, p.points.indices.take(MaxPoints))
+    val best = mpSkipEnum(p, planCost, CostModel.lowerBound(p, memo, cfg), layout.points, layout.cutSet,
+      forced, seed)
+    best.unsorted.map(p.points(_).edge)
   }
 
-  private final case class Layout(points: IndexedSeq[InterestingPoint],
-                                  cutSet: Option[CutSet])
+  /** Search-space layout: indexes into the partition's points, any cut set
+    * first; the cut set's sides as positions in that order. */
+  private final case class Layout(points: IndexedSeq[Int], cutSet: Option[CutSet])
   private final case class CutSet(size: Int, s1: IndexedSeq[Int], s2: IndexedSeq[Int])
 
   /** Core enumeration over `points` (already laid out with any cut set at
-    * the most significant positions). `forced` edges are materialized in
-    * every costed plan (used by sub-problem recursion). Returns the best
-    * boolean assignment. */
-  private def mpSkipEnum(dagRoots: Seq[Hop], memo: MemoTable, p: PlanPartition,
-                         cfg: CostConfig, points: IndexedSeq[InterestingPoint],
-                         cutSet: Option[CutSet],
-                         forced: Set[(Long, Long)]): Array[Boolean] = {
+    * the most significant positions). The `forced` points are materialized
+    * in every costed plan (the cap's tail and sub-problem recursion); a
+    * `seed` assignment and its cost open the search as the best so far.
+    * Returns the best plan as the set of its materialized points. */
+  private def mpSkipEnum(p: PlanPartition, planCost: PlanExtractor.PartitionCost,
+                         lowerBound: Set[Long] => Double, points: IndexedSeq[Int],
+                         cutSet: Option[CutSet], forced: BitSet,
+                         seed: Option[(BitSet, Double)]): BitSet = {
     val n = points.length
-    val scope = Some(p.nodes)
 
-    var bestQ: Array[Boolean] = null
-    var bestC = Double.PositiveInfinity
+    var bestQ: Array[Boolean] = seed.map { case (q, _) => points.map(q).toArray }.orNull
+    var bestC = seed.fold(Double.PositiveInfinity)(_._2)
 
-    def edgesOf(q: Array[Boolean]): Set[(Long, Long)] =
-      forced ++ points.indices.collect { case i if q(i) => points(i).edge }
-
-    def costOf(q: Array[Boolean], bound: Double): Double = {
-      val plan = PlanExtractor.extract(dagRoots, memo, edgesOf(q))
-      CostModel.planCost(plan, cfg, scope, bound)
-    }
+    def materialized(q: Array[Boolean]): BitSet =
+      forced ++ points.indices.iterator.filter(q).map(points)
 
     val total = 1L << n
     var j = 0L
@@ -160,35 +171,34 @@ object Selector {
         // structural pruning: the materialized cut set makes the two point
         // sets independent sub-problems (paper §4.4, Fig. 7(b))
         val cs = cutSet.get
-        val csEdges = edgesOf(q)
+        val csMat = materialized(q)
         for (sub <- Seq(cs.s1, cs.s2) if sub.nonEmpty) {
-          val subPts = sub.map(points)
-          val subBest = mpSkipEnum(dagRoots, memo, p, cfg, subPts, None, forced ++ csEdges)
-          sub.zipWithIndex.foreach { case (ix, k) => q(ix) = subBest(k) }
+          val subBest = mpSkipEnum(p, planCost, lowerBound, sub.map(points), None, csMat, None)
+          sub.foreach(ix => q(ix) = subBest(points(ix)))
         }
-        val c = costOf(q, Double.PositiveInfinity)
+        val c = planCost(materialized(q))
         CodegenStats.plansEvaluated.incrementAndGet()
         if (c < bestC) { bestC = c; bestQ = q.clone() }
         CodegenStats.plansSkipped.addAndGet(total - j - 1)
         j = total // everything remaining has the cut set materialized: solved optimally above
       } else {
         // cost-based pruning via lower bound (paper Alg. 2 lines 11-15)
-        val targets = points.indices.collect { case i if q(i) => points(i).target }.toSet
-        val lb = CostModel.lowerBound(p, memo, targets, cfg)
+        val targets = points.indices.collect { case i if q(i) => p.points(points(i)).target }.toSet
+        val lb = lowerBound(targets)
         if (lb >= bestC) {
           val x = lastIndexOfTrue(q)
           val skip = if (x < 0) 1L else 1L << (n - 1 - x)
           CodegenStats.plansSkipped.addAndGet(skip - 1)
           j += skip
         } else {
-          val c = costOf(q, bestC)
+          val c = planCost(materialized(q))
           CodegenStats.plansEvaluated.incrementAndGet()
           if (bestQ == null || c < bestC) { bestC = c; bestQ = q.clone() }
           j += 1
         }
       }
     }
-    if (bestQ == null) createAssignment(n, 0) else bestQ
+    materialized(if (bestQ == null) createAssignment(n, 0) else bestQ)
   }
 
   /** Plan j as booleans, most significant bit first — the linearized
@@ -207,14 +217,14 @@ object Selector {
     i
   }
 
-  /** Build the reachability-based cut-set layout: candidates are the
-    * composite points per target; a candidate is a valid cut iff the
-    * remaining points split into disjoint ancestor (S1) and descendant
-    * (S2) sides. The best-scoring cut (paper Eq. 5) is placed at the most
-    * significant positions of the search space. */
-  private def orderByCutSet(memo: MemoTable, p: PlanPartition): Layout = {
-    val pts = p.points
-    if (pts.length < 3) return Layout(pts, None)
+  /** Build the reachability-based cut-set layout of the points `idx`:
+    * candidates are the composite points per target; a candidate is a
+    * valid cut iff the remaining points split into disjoint ancestor (S1)
+    * and descendant (S2) sides. The best-scoring cut (paper Eq. 5) is
+    * placed at the most significant positions of the search space. */
+  private def orderByCutSet(memo: MemoTable, p: PlanPartition, idx: IndexedSeq[Int]): Layout = {
+    if (idx.length < 3) return Layout(idx, None)
+    val pts = idx.map(p.points)
     val byTarget = pts.zipWithIndex.groupBy(_._1.target)
 
     def score(csSize: Int, s1: Int, s2: Int): Double =
@@ -240,11 +250,10 @@ object Selector {
     candidates.sortBy(_._1).headOption match {
       case Some((_, cs, s1, s2)) =>
         val order = cs ++ s1 ++ s2
-        val newPts = order.map(pts).toIndexedSeq
         val pos = order.zipWithIndex.map { case (old, nw) => old -> nw }.toMap
-        Layout(newPts, Some(CutSet(cs.length,
+        Layout(order.map(idx).toIndexedSeq, Some(CutSet(cs.length,
           s1.map(pos).toIndexedSeq.sorted, s2.map(pos).toIndexedSeq.sorted)))
-      case None => Layout(pts, None)
+      case None => Layout(idx, None)
     }
   }
 

@@ -243,11 +243,17 @@ object Executor {
 object Basic {
 
   /** The local kernels read dense and sparse blocks: a compressed local
-    * input is decompressed once, here. */
-  def execute(h: Hop, inputs: Seq[MatrixData]): MatrixData = executeOp(h, inputs.map {
-    case LocalData(c: CompressedBlock) => LocalData(c.toDense)
-    case d                             => d
-  })
+    * input is decompressed once, here, except for a full or column sum,
+    * which its dictionaries answer. */
+  def execute(h: Hop, inputs: Seq[MatrixData]): MatrixData = (h, inputs) match {
+    case (a: AggHop, Seq(LocalData(c: CompressedBlock))) if a.func == SumAgg && a.dir != RowDir =>
+      val colSums = c.colSums
+      LocalData(if (a.dir == ColDir) colSums else MatrixBlock.dense(1, 1, Array(colSums.values.sum)))
+    case _ => executeOp(h, inputs.map {
+      case LocalData(c: CompressedBlock) => LocalData(c.toDense)
+      case d                             => d
+    })
+  }
 
   private def executeOp(h: Hop, inputs: Seq[MatrixData]): MatrixData = h match {
     case u: UnaryHop => inputs.head match {

@@ -5,10 +5,12 @@ package repro.runtime
   *
   * Each column is dense-dictionary-coded (DDC): a dictionary of distinct
   * values plus one small code per row. The multi-aggregate skeleton
-  * ([[SpoofMultiAgg]]) exploits this for full sums over a single input,
-  * such as sum(X^2), by executing the generated `genexec` only once per
+  * ([[SpoofMultiAgg]]) exploits this for full sums over a compressed
+  * input whose side inputs are all scalars, such as sum(X^2) or
+  * sum(X * 2), by executing the generated `genexec` only once per
   * distinct value of each column and weighting by its count — the paper's
-  * "remarkably close to hand-coded CLA" fast path. Every other consumer
+  * "remarkably close to hand-coded CLA" fast path. Basic full and column
+  * sums read the dictionaries too ([[colSums]]). Every other consumer
   * decompresses: the other skeletons through `toDense`/`get`, basic
   * operators once in [[repro.core.Basic.execute]].
   *
@@ -60,6 +62,14 @@ final class CompressedBlock(
   }
 
   def toSparse: SparseBlock = toDense.toSparse
+
+  /** Column sums from the dictionaries: Σ value × count per column. */
+  def colSums: DenseBlock = new DenseBlock(1, cols, groups.map { g =>
+    var s = 0.0
+    var d = 0
+    while (d < g.dict.length) { s += g.dict(d) * g.counts(d); d += 1 }
+    s
+  })
 
   /** Compression ratio vs dense representation (values only). */
   def compressionRatio: Double = {

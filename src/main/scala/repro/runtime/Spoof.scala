@@ -8,8 +8,8 @@ import repro.runtime.Ops._
   * generated `genexec` per value/row. It iterates only the non-zeros of a
   * sparse main input exactly when its CPlan is sparse-safe, a decision
   * made once when the CPlan is bound; a compressed main input is read on
-  * its dictionaries by [[SpoofMultiAgg]] (one input, sums only) and
-  * decompressed by every other path. Generated operators are Java classes
+  * its dictionaries by [[SpoofMultiAgg]] (scalar side inputs only, sums
+  * only) and decompressed by every other path. Generated operators are Java classes
   * produced by [[repro.compiler.Codegen]] (compiled in-memory); the
   * skeleton + shared [[VectorPrims]] keep the per-operator instruction
   * footprint small.
@@ -144,8 +144,9 @@ final class SpoofCellwise(
 
 /** Multi-aggregate skeleton, the one skeleton of full aggregates: k of
   * them over shared inputs computed in one pass over the main input
-  * (cells, non-zeros when sparse-safe, or, for one compressed input and
-  * sums only, dictionary entries); output is 1 x k. */
+  * (cells, non-zeros when sparse-safe, or, for a compressed main input
+  * with scalar side inputs and sums only, dictionary entries); output is
+  * 1 x k. */
 final class SpoofMultiAgg(
     val funcs: IndexedSeq[AggFunc],
     val sparseSafe: Boolean,
@@ -158,9 +159,10 @@ final class SpoofMultiAgg(
     val fns = funcs.toArray
     val acc = fns.map(_.init)
     inputs(0) match {
-      case c: CompressedBlock if inputs.length == 1 && fns.forall(_ == SumAgg) =>
+      case c: CompressedBlock if inputs.iterator.drop(1).forall(_.numCells == 1) && fns.forall(_ == SumAgg) =>
         // CLA: genexec once per distinct value of each column, weighted by
-        // its count (paper §5.2)
+        // its count (paper §5.2); scalar side inputs, such as literals, are
+        // the same for every cell
         var j = 0
         while (j < c.cols) {
           val g = c.groups(j)

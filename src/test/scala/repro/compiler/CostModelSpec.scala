@@ -123,7 +123,7 @@ class CostModelSpec extends SparkSpec {
     val parts = Partitions.analyze(roots, memo)
     for (part <- parts) {
       val (_, bruteCost) = Selector.bruteForcePartition(roots, memo, part, cfg)
-      val lb = CostModel.lowerBound(part, memo, Set.empty, cfg)
+      val lb = CostModel.lowerBound(part, memo, cfg)(Set.empty)
       assert(lb <= bruteCost + 1e-12, s"lb $lb > optimal $bruteCost")
     }
   }

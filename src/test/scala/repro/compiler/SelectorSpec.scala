@@ -1,5 +1,6 @@
 package repro.compiler
 
+import scala.collection.immutable.BitSet
 import repro.SparkSpec
 import repro.core._
 import repro.runtime._
@@ -21,6 +22,13 @@ class SelectorSpec extends SparkSpec {
     val v = c.bindLocal("V", dense(8, 4, 4))
     val q = p * (x %*% v)
     Seq((x.t %*% (q - p * q.rowSums)).hop)
+  }
+
+  /** Three aggregates over one shared multi-consumer chain. */
+  private def cseDAG(c: ExecContext): Seq[Hop] = {
+    implicit val cc: ExecContext = c
+    val shared = (c.bindLocal("X", dense(3000, 10)) * c.bindLocal("Y", dense(3000, 10, 7))).exp
+    Seq(shared.rowSums.hop, (shared * 2.0).colSums.hop, shared.sum.hop)
   }
 
   test("partition analysis: Eq2 forms one partition with interesting points") {
@@ -123,16 +131,73 @@ class SelectorSpec extends SparkSpec {
     assert(genOuter.nonEmpty, s"Gen should keep the Outer template:\n$genPlan")
   }
 
+  /** One mini-batch DAG of `AutoEncoder.run` as the benchmark runs it
+    * (1024 x 128 dense X, 64-2-64, batch 512): biases are all zero in the
+    * first batch and dense after it. */
+  private def autoEncoderDAG(c: ExecContext, zeroBiases: Boolean = true): Seq[Hop] = {
+    implicit val cc: ExecContext = c
+    val x = c.bindLocal("X", dense(1024, 128))
+    def bias(k: Int) = if (zeroBiases) MatrixBlock.zeros(1, k) else dense(1, k, 13)
+    val params = Seq(dense(128, 64, 5), bias(64), dense(64, 2, 6), bias(2),
+      dense(2, 64, 7), bias(64), dense(64, 128, 8), bias(128)).zipWithIndex
+      .map { case (b, i) => c.bindLocal(s"p$i", b) }
+    repro.algos.AutoEncoder.batchDag(x.sliceRows(0, 512), params).map(_.hop)
+  }
+
   test("Gen plan cost is never worse than the heuristics'") {
-    val c = ctx
-    val roots = eq2DAG(c)
+    // AutoEncoder has a partition of 24 points, above the point cap
+    for ((name, dag) <- Seq[(String, ExecContext => Seq[Hop])](
+           "Eq2" -> eq2DAG, "AutoEncoder" -> (autoEncoderDAG(_)),
+           "AutoEncoder, dense biases" -> (autoEncoderDAG(_, zeroBiases = false)))) {
+      val c = ctx
+      val roots = dag(c)
+      val memo = Explorer.explore(roots)
+      if (name.startsWith("AutoEncoder"))
+        assert(Partitions.analyze(roots, memo).exists(_.points.size > Selector.MaxPoints), name)
+      val gen = Selector.select(roots, memo.copyTable(), CostBased, c.cfg)
+      val fa = Selector.select(roots, memo.copyTable(), FuseAll, c.cfg)
+      val fnr = Selector.select(roots, memo.copyTable(), FuseNoRedundancy, c.cfg)
+      val (cg, cfa, cfnr) = (CostModel.planCost(gen, c.cfg), CostModel.planCost(fa, c.cfg),
+        CostModel.planCost(fnr, c.cfg))
+      assert(cg <= cfa + 1e-9, s"$name: Gen $cg > FA $cfa")
+      assert(cg <= cfnr + 1e-9, s"$name: Gen $cg > FNR $cfnr")
+    }
+  }
+
+  test("partition-local plan cost equals the cost of the extracted plan") {
+    def check(roots: Seq[Hop], memo: MemoTable, p: PlanPartition, mat: BitSet): Unit = {
+      val local = new PlanExtractor.PartitionCost(roots, memo, p, CostConfig())
+      val plan = PlanExtractor.extract(roots, memo, mat.unsorted.map(p.points(_).edge))
+      val expect = CostModel.planCost(plan, CostConfig(), Some(p.nodes))
+      val got = local(mat)
+      assert(math.abs(got - expect) <= 1e-12 * expect, s"$mat: $got != $expect")
+    }
+    // sum(X^2) lies outside the shared chain's partition, and merges with
+    // its sum into one multi-aggregate
+    def cseMergeDAG(c: ExecContext): Seq[Hop] = {
+      implicit val cc: ExecContext = c
+      val x = c.bindLocal("X", dense(3000, 10))
+      val shared = (x * c.bindLocal("Y", dense(3000, 10, 7))).exp
+      Seq(shared.rowSums.hop, shared.sum.hop, (x ^ 2.0).sum.hop)
+    }
+    for (dag <- Seq[ExecContext => Seq[Hop]](eq2DAG, cseDAG, cseMergeDAG)) {
+      val roots = dag(ctx)
+      val memo = Explorer.explore(roots)
+      for (p <- Partitions.analyze(roots, memo); j <- 0L until (1L << p.points.size))
+        check(roots, memo, p, BitSet.fromBitMask(Array(j)))
+    }
+    val merged = cseMergeDAG(ctx)
+    assert(PlanExtractor.extract(merged, Explorer.explore(merged), Set.empty).ops.exists {
+      case PFused(c) => c.roots.size == 2
+      case _         => false
+    })
+    val roots = autoEncoderDAG(ctx)
     val memo = Explorer.explore(roots)
-    val gen = Selector.select(roots, memo.copyTable(), CostBased, c.cfg)
-    val fa = Selector.select(roots, memo.copyTable(), FuseAll, c.cfg)
-    val fnr = Selector.select(roots, memo.copyTable(), FuseNoRedundancy, c.cfg)
-    val cg = CostModel.planCost(gen, c.cfg)
-    assert(cg <= CostModel.planCost(fa, c.cfg) + 1e-9)
-    assert(cg <= CostModel.planCost(fnr, c.cfg) + 1e-9)
+    val p = Partitions.analyze(roots, memo).maxBy(_.points.size)
+    assert(p.points.size == 24, p.points.toString)
+    val rnd = new scala.util.Random(11)
+    for (_ <- 0 until 2000)
+      check(roots, memo, p, BitSet.fromSpecific(p.points.indices.filter(_ => rnd.nextBoolean())))
   }
 
   test("fuse-no-redundancy materializes multi-consumer intermediates") {

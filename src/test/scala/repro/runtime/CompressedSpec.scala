@@ -32,26 +32,47 @@ class CompressedSpec extends SparkSpec {
     assert(comp.groups.forall(_.counts.sum == 200))
   }
 
-  test("fused sum(X^2) over compressed executes on the dictionary") {
-    // 200,000 x 8 with 5 distinct values per column: decompressing it
-    // would allocate 12.8 MB, the dictionaries hold 40 values
-    val big = MatrixBlock.tabulate(200000, 8)((i, j) => ((i * 7 + j) % 5).toDouble)
-    val bigComp = CompressedBlock.compress(big)
-    val expect = big.values.map(v => v * v).sum
+  // 200,000 x 8 with 5 distinct values per column: decompressing it
+  // would allocate 12.8 MB, the dictionaries hold 40 values
+  private lazy val big = MatrixBlock.tabulate(200000, 8)((i, j) => ((i * 7 + j) % 5).toDouble)
+  private lazy val bigComp = CompressedBlock.compress(big)
+
+  /** Evaluates `expr` over the compressed 200,000 x 8 leaf in `mode` twice,
+    * checks both results against `expect`, and returns the MB the warm
+    * (second) evaluation allocated. */
+  private def warmAllocMB(mode: ExecMode, expect: Double)(expr: MX => MX): Double = {
     val threads = java.lang.management.ManagementFactory.getThreadMXBean
       .asInstanceOf[com.sun.management.ThreadMXBean]
+    val ctx = new ExecContext(mode)
+    val x = ctx.bindLocal("X", bigComp)
+    def eval(): Double = ctx.eval(Seq(expr(x))).head.toLocal.get(0, 0)
+    assert(eval() == expect, mode.label) // cold: compiles any operator
+    val before = threads.getCurrentThreadAllocatedBytes
+    val got = eval()
+    val mb = (threads.getCurrentThreadAllocatedBytes - before) / 1e6
+    assert(got == expect, mode.label)
+    mb
+  }
+
+  test("fused sum(X^2) over compressed executes on the dictionary") {
+    val expect = big.values.map(v => v * v).sum
     for (policy <- Seq(CostBased, FuseAll, FuseNoRedundancy)) {
-      val ctx = new ExecContext(GenMode(policy))
-      implicit val c: ExecContext = ctx
-      val x = ctx.bindLocal("X", bigComp)
-      def sumSq(): Double = ctx.eval(Seq((x ^ 2.0).sum)).head.toLocal.get(0, 0)
-      assert(sumSq() == expect, ctx.mode.label) // cold: compiles the operator
-      val before = threads.getCurrentThreadAllocatedBytes
-      val got = sumSq()
-      val mb = (threads.getCurrentThreadAllocatedBytes - before) / 1e6
-      assert(got == expect, ctx.mode.label)
-      assert(mb < 1.0, s"${ctx.mode.label}: a warm sum(X^2) allocated $mb MB")
+      val mb = warmAllocMB(GenMode(policy), expect)(x => (x ^ 2.0).sum)
+      assert(mb < 1.0, s"$policy: a warm sum(X^2) allocated $mb MB")
     }
+  }
+  test("fused sum(X * 2.0) over compressed executes on the dictionary") {
+    // the literal is a 1x1 side input of the generated operator
+    val expect = big.values.map(_ * 2.0).sum
+    warmAllocMB(BaseMode, expect)(x => (x * 2.0).sum) // Base agrees
+    for (policy <- Seq(CostBased, FuseAll, FuseNoRedundancy)) {
+      val mb = warmAllocMB(GenMode(policy), expect)(x => (x * 2.0).sum)
+      assert(mb < 1.0, s"$policy: a warm sum(X * 2.0) allocated $mb MB")
+    }
+  }
+  test("basic sum(X) over compressed reads the dictionaries") {
+    val mb = warmAllocMB(BaseMode, big.values.sum)(_.sum)
+    assert(mb < 1.0, s"a warm Base sum(X) allocated $mb MB")
   }
   test("fused colSums(X*2) over compressed matches dense") {
     val ctx = new ExecContext(GenMode(CostBased))
@@ -94,6 +115,9 @@ class CompressedSpec extends SparkSpec {
   }
   test("sum(X) over a compressed leaf equals the dense result in all modes") {
     agreesWithDense((x, _) => x.sum)
+  }
+  test("colSums(X) over a compressed leaf equals the dense result in all modes") {
+    agreesWithDense((x, _) => x.colSums)
   }
   test("t(X) over a compressed leaf equals the dense result in all modes") {
     agreesWithDense((x, _) => x.t)
