@@ -117,6 +117,24 @@ final case class CPlan(
     wIdx: Int,                       // input index of an Outer closing matmult's W, else -1
 ) {
   def root: Hop = roots.head
+
+  /** Does a Row operator scatter a sparse main row into a dense buffer?
+    * A matmult with the row on its left, a row, column or full sum of the
+    * row, and the x-side of t(X) %*% Z read its non-zeros in place
+    * ([[Codegen]]'s sparse-row variant); any other consumer scatters it. */
+  def scattersMainRow: Boolean = tpe == RowTpl && {
+    val main = inputs.head
+    val xSide = if (rowVariant.contains(RowColAggT)) Some(root.inputs.head) else None
+    CPlan.coveredHops(root, covered).exists { h =>
+      val reads = h.inputs.count(_ eq main)
+      reads > 0 && (reads > 1 || (h match {
+        case m: MatMulHop    => !(m.left eq main)
+        case a: AggHop       => a.func != SumAgg
+        case t: TransposeHop => !xSide.exists(_ eq t)
+        case _               => true
+      }))
+    }
+  }
 }
 
 object CPlan {
@@ -148,12 +166,14 @@ object CPlan {
   /** Build the CPlan of the fused operator that [[PlanExtractor]] extracts
     * at `root`: the covered hops and its materialized inputs, in the order
     * extraction found them. None if the template cannot bind the inputs:
-    * an Outer operator without a sparse driver. A full aggregate is a
-    * one-root MAgg CPlan whether a Cell or an MAgg entry roots it. */
+    * an Outer operator without a sparse driver, or a Row operator whose
+    * hops its generated code cannot read per row ([[rowEmittable]]). A full
+    * aggregate is a one-root MAgg CPlan whether a Cell or an MAgg entry
+    * roots it. */
   private[compiler] def construct(root: Hop, tpe: TemplateType, covered: Set[Long],
                                   inputs: IndexedSeq[Hop]): Option[CPlan] = tpe match {
     case CellTpl | MAggTpl => Some(constructCell(root, covered, inputs))
-    case RowTpl            => Some(constructRow(root, covered, inputs))
+    case RowTpl            => constructRow(root, covered, inputs)
     case OuterTpl          => constructOuter(root, covered, inputs)
   }
 
@@ -179,7 +199,7 @@ object CPlan {
       rowDim = chainRoot.rows, chainRoot = chainRoot, wIdx = -1)
   }
 
-  private def constructRow(root: Hop, covered: Set[Long], inputs: IndexedSeq[Hop]): CPlan = {
+  private def constructRow(root: Hop, covered: Set[Long], inputs: IndexedSeq[Hop]): Option[CPlan] = {
     // the row dimension: rows iterated by the skeleton
     val rowDim = root match {
       case m: MatMulHop if TemplateType.isTransposeLeftMatMul(m) => m.right.rows
@@ -202,11 +222,35 @@ object CPlan {
       .orElse(inputs.find(in => in.rows == rowDim && in.numCells > 1))
       .getOrElse(inputs.head)
     val ordered = main +: inputs.filterNot(_ eq main)
-    CPlan(RowTpl, IndexedSeq(root), covered, ordered,
-      sparseSafe = false, // Row binds to whole rows; sparse rows handled by the skeleton
-      rowVariant = Some(variant), outerVariant = None, cellVariant = None,
-      maggFuncs = IndexedSeq.empty, rowDim = rowDim, chainRoot = chainOf(root, RowTpl, covered),
-      wIdx = -1)
+    Option.when(rowEmittable(root, covered, ordered, rowDim))(
+      CPlan(RowTpl, IndexedSeq(root), covered, ordered,
+        sparseSafe = false, // Row binds to whole rows; sparse rows handled by the skeleton
+        rowVariant = Some(variant), outerVariant = None, cellVariant = None,
+        maggFuncs = IndexedSeq.empty, rowDim = rowDim, chainRoot = chainOf(root, RowTpl, covered),
+        wIdx = -1))
+  }
+
+  /** Can the generated code of a Row operator compute every covered hop
+    * from one row of the main input (`inputs.head`)? Per row, it reads
+    * every other input as a scalar, a row vector or the row of a
+    * row-aligned input; a matmult's right operand whole, as an input other
+    * than the main; the x-side of a root t(X) %*% Z as X's row through a
+    * covered transpose, or by column from a materialized one, and no other
+    * transpose. Column and full aggregates are the root, and sums. */
+  private def rowEmittable(root: Hop, covered: Set[Long], inputs: IndexedSeq[Hop], rowDim: Long): Boolean = {
+    val xSide = root match {
+      case m: MatMulHop if TemplateType.isTransposeLeftMatMul(m) => Some(m.left)
+      case _                                                     => None
+    }
+    def readable(in: Hop): Boolean =
+      if (covered.contains(in.id)) !in.isInstanceOf[TransposeHop] else in.rows == 1 || in.rows == rowDim
+    inputs.head.rows == rowDim && coveredHops(root, covered).forall {
+      case m: MatMulHop if xSide.isDefined && (m eq root) => readable(m.right)
+      case m: MatMulHop => readable(m.left) && !covered.contains(m.right.id) && !(m.right eq inputs.head)
+      case t: TransposeHop => xSide.exists(_ eq t) && readable(t.in)
+      case a: AggHop if a.dir != RowDir => (a eq root) && a.func == SumAgg && readable(a.in)
+      case h => h.inputs.forall(readable)
+    }
   }
 
   /** The cell-wise chain of a fused operator: the part under its aggregate

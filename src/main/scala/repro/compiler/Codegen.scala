@@ -29,21 +29,24 @@ object CodegenStats {
   * paper (§2.1, Fig. 11). Generated classes only override the template's
   * `genexec`; data access and aggregation live in the hand-coded
   * skeletons ([[repro.runtime.SpoofCellwise]] et al.), each of which runs
-  * on one thread. The class cache of [[repro.runtime.JavaBackend]], keyed
-  * by the generated source, identifies equivalent CPlans and avoids
+  * on one thread, except that a generated Row operator writes each row's
+  * result into the skeleton's output as its variant says (paper §2.2).
+  * The class cache of [[repro.runtime.JavaBackend]], keyed by the
+  * generated source, identifies equivalent CPlans and avoids
   * re-compilation across DAGs and dynamic recompilation (paper §2.1,
-  * §5.3). Only classes are cached: the skeleton's parameters
-  * (aggregation, sparse-safety, variant) are not part of the source, so
-  * every call builds the skeleton fresh from its CPlan.
+  * §5.3). Only classes are cached: the skeleton's parameters (Cell and
+  * MAgg aggregation, sparse-safety, Row output shape) are not part of the
+  * source, so every call builds the skeleton fresh from its CPlan.
   */
 object Codegen {
 
   def compile(cplan: CPlan): SpoofOperator = {
     val t0 = System.nanoTime()
+    lazy val (rowSrc, wholeInputs) = rowSource(cplan)
     val sources = cplan.tpe match {
       case CellTpl  => IndexedSeq(cellSource(cplan, cplan.chainRoot))
       case MAggTpl  => cplan.roots.map(r => cellSource(cplan, r.asInstanceOf[AggHop].in))
-      case RowTpl   => IndexedSeq(rowSource(cplan))
+      case RowTpl   => IndexedSeq(rowSrc)
       case OuterTpl => IndexedSeq(outerSource(cplan))
     }
     // a miss if this call compiled any class: of several threads compiling
@@ -55,7 +58,8 @@ object Codegen {
     cplan.tpe match {
       case CellTpl  => new SpoofCellwise(cplan.cellVariant.get, cplan.sparseSafe, ExecRef(sources.head))
       case MAggTpl  => new SpoofMultiAgg(cplan.maggFuncs, cplan.sparseSafe, sources.map(ExecRef[CellExec]))
-      case RowTpl   => new SpoofRowwise(cplan.rowVariant.get, ExecRef(sources.head))
+      case RowTpl   => new SpoofRowwise(cplan.rowVariant.get, cplan.root.rows.toInt, cplan.root.cols.toInt,
+        wholeInputs, ExecRef(sources.head))
       case OuterTpl => new SpoofOuterProduct(cplan.outerVariant.get, cplan.wIdx, ExecRef(sources.head))
     }
   }
@@ -94,7 +98,7 @@ object Codegen {
     case Le    => s"(($x <= $y) ? 1.0 : 0.0)"
   }
 
-  private final class Src(val prefix: String = "") {
+  private class Src(val prefix: String = "") {
     val body = new StringBuilder
     val fields = new StringBuilder
     private var n = 0
@@ -166,163 +170,187 @@ object Codegen {
 
   // ----------------------------------------------------------------- Row
 
-  private def rowSource(cplan: CPlan): String = {
-    val variant = cplan.rowVariant.get
-    val root = cplan.root
+  /** One row's value of a Row-chain node: a per-row scalar expression, a
+    * dense vector arr[off, off + len), or the sparse main row in place. */
+  private sealed trait RowVal
+  private final case class Scal(expr: String) extends RowVal
+  private final case class Vec(arr: String, off: String, len: String) extends RowVal {
+    def at(i: String): String = if (off == "0") s"$arr[$i]" else s"$arr[$off + $i]"
+  }
+  private case object SparseRow extends RowVal
+  private val sparseRow = "avals, aix, apos, alen"
 
-    val allFields = new StringBuilder
-    def vecMethod(method: String, h: Hop): String = {
-      val src = new Src(if (method == "genexecVec2") "X" else "Z")
-      val r = emitRowVec(h, cplan, src)
-      allFields.append(src.fields)
-      s"  public double[] $method(double[] a, MatrixBlock[] b, int rix) {\n" +
-        src.body.toString + s"    return $r;\n  }\n"
+  /** Row emission state on top of [[Src]]: the value of each emitted hop,
+    * the sparse main row once scattered into a ring buffer, and the inputs
+    * read whole rather than by row. */
+  private final class RowSrc(prefix: String, val cplan: CPlan, val main: RowVal) extends Src(prefix) {
+    val values = mutable.Map[Long, RowVal]()
+    val whole = mutable.Set[Int]()
+    var scattered: Option[Vec] = None
+    def local(x: String): String = { val t = fresh(); line(s"double $t = $x;"); t }
+    def vec(t: String): Vec = Vec(t, "0", s"$t.length")
+    /** A new ring-buffer vector with element i_ given by `f` over `len` values. */
+    def loop(len: String)(f: String => String): Vec = {
+      val t = buf(len)
+      line(s"for (int i_ = 0; i_ < $t.length; i_++) $t[i_] = ${f("i_")};")
+      vec(t)
     }
-    def scalarMethod(h: Hop): String = {
-      val src = new Src("S")
-      val r = emitRow(h, cplan, src) match {
-        case Left(vecV) => // vector chain under a full aggregate
-          val t = src.fresh()
-          src.line(s"double $t = VectorPrims.vectSum($vecV);")
-          t
-        case Right(s) => s
+    /** `v` as a dense vector: the sparse main row is scattered at its
+      * first element-wise consumer, once per row. */
+    def dense(v: RowVal): Vec = v match {
+      case d: Vec => d
+      case SparseRow => scattered.getOrElse {
+        val t = buf("len")
+        line(s"VectorPrims.vectScatter($sparseRow, $t);")
+        scattered = Some(vec(t))
+        scattered.get
       }
-      allFields.append(src.fields)
-      s"  public double genexecScalar(double[] a, MatrixBlock[] b, int rix) {\n" +
-        src.body.toString + s"    return $r;\n  }\n"
+      case Scal(x) => throw new IllegalStateException(s"per-row scalar $x where a vector is expected")
     }
-
-    val methods = variant match {
-      case RowNoAgg | RowColAgg => vecMethod("genexecVec", cplan.chainRoot)
-      case RowFullAgg => scalarMethod(cplan.chainRoot)
-      case RowRowAgg  => scalarMethod(root)
-      case RowColAggT =>
-        val m = root.asInstanceOf[MatMulHop]
-        vecMethod("genexecVec2", m.left) + vecMethod("genexecVec", m.right)
+    def sum(v: RowVal): String = v match {
+      case Scal(x)   => x
+      case SparseRow => "VectorPrims.vectSum(avals, apos, alen)"
+      case d: Vec    => s"VectorPrims.vectSum(${d.arr}, ${d.off}, ${d.len})"
     }
-    header("RowExec") + allFields.toString + methods + "}\n"
   }
 
-  /** Emit a Row-chain node; Left(var) = vector, Right(expr) = scalar. */
-  private def emitRow(h: Hop, cplan: CPlan, src: Src): Either[String, String] = {
-    val main = cplan.inputs(0)
-    val rowDim = cplan.rowDim
-    if (h eq main) return Left("a")
-    src.memo.get(h.id) match {
-      case Some(v) => return if (v.startsWith("[]")) Left(v.drop(2)) else Right(v)
-      case None =>
+  /** Both genexec variants of a Row operator, from one emitter: the dense
+    * one reads the main row in place as (a, ai, len), the sparse one as its
+    * non-zeros. Each writes its row's result into the output `c`. Also
+    * returns the indexes of the inputs the code reads whole: a matmult's
+    * right operand and a materialized t(X). */
+  private def rowSource(cplan: CPlan): (String, Set[Int]) = {
+    val variants = Seq(
+      new RowSrc("D", cplan, Vec("a", "ai", "len")) -> "double[] a, int ai",
+      new RowSrc("S", cplan, SparseRow) -> "double[] avals, int[] aix, int apos, int alen")
+    val methods = variants.map { case (src, params) =>
+      emitRowOutput(src)
+      s"  public void genexec($params, MatrixBlock[] b, double[] c, int rix, int len) {\n" +
+        src.body.toString + "  }\n"
     }
-    val result: Either[String, String] =
+    (header("RowExec") + variants.map(_._1.fields).mkString + methods.mkString + "}\n",
+      variants.flatMap(_._1.whole).toSet)
+  }
+
+  /** Emit the row's result and its write into `c`, as the variant says. */
+  private def emitRowOutput(src: RowSrc): Unit = {
+    val cplan = src.cplan
+    def emit(h: Hop) = emitRow(h, src)
+    cplan.rowVariant.get match {
+      case RowNoAgg =>
+        val d = src.dense(emit(cplan.chainRoot))
+        src.line(s"System.arraycopy(${d.arr}, ${d.off}, c, rix * ${d.len}, ${d.len});")
+      case RowRowAgg  => src.line(s"c[rix] = ${src.sum(emit(cplan.root))};")
+      case RowFullAgg => src.line(s"c[0] += ${src.sum(emit(cplan.chainRoot))};")
+      case RowColAgg => emit(cplan.chainRoot) match {
+        case Scal(x)   => src.line(s"c[0] += $x;")
+        case SparseRow => src.line(s"VectorPrims.vectAdd($sparseRow, c);")
+        case d: Vec    => src.line(s"VectorPrims.vectAdd(${d.arr}, ${d.off}, c, 0, ${d.len});")
+      }
+      case RowColAggT =>
+        // t(X) %*% Z: c += outer(row of X, row of Z)
+        val m = cplan.root.asInstanceOf[MatMulHop]
+        val x = emitXSide(m.left.asInstanceOf[TransposeHop], src)
+        (x, emit(m.right)) match {
+          case (SparseRow, Scal(zs)) => src.line(s"VectorPrims.vectMultAdd(avals, $zs, c, aix, apos, 0, alen);")
+          case (SparseRow, z) =>
+            val d = src.dense(z)
+            src.line(s"VectorPrims.vectOuterMultAdd($sparseRow, ${d.arr}, c, ${d.off}, ${d.len});")
+          case (xv, Scal(zs)) =>
+            val d = src.dense(xv)
+            src.line(s"VectorPrims.vectMultAdd(${d.arr}, $zs, c, ${d.off}, 0, ${d.len});")
+          case (xv, z) =>
+            val (dx, dz) = (src.dense(xv), src.dense(z))
+            src.line(s"VectorPrims.vectOuterMultAdd(${dx.arr}, ${dz.arr}, c, ${dx.off}, ${dz.off}, ${dx.len}, ${dz.len});")
+        }
+    }
+  }
+
+  /** The x-side row of t(X) %*% Z: row rix of X, which is column rix of a
+    * materialized t(X). */
+  private def emitXSide(t: TransposeHop, src: RowSrc): RowVal =
+    if (src.cplan.covered.contains(t.id)) emitRow(t.in, src)
+    else {
+      val k = inputIndex(t, src.cplan)
+      src.whole += k
+      src.loop(s"b[$k].rows()")(i => s"b[$k].get($i, rix)")
+    }
+
+  /** Emit a Row-chain node for the current row. */
+  private def emitRow(h: Hop, src: RowSrc): RowVal = {
+    val cplan = src.cplan
+    if (h eq cplan.inputs(0)) return src.main
+    src.values.get(h.id).foreach(return _)
+    def emit(x: Hop) = emitRow(x, src)
+    val result: RowVal =
       if (!cplan.covered.contains(h.id)) {
-          val k = inputIndex(h, cplan)
-          if (h.rows == 1 && h.cols == 1) Right(s"b[$k].get(0, 0)")
-          else if (h.rows == rowDim && h.cols == 1) Right(s"b[$k].get(rix, 0)")
-          else if (h.rows == 1) {
-            val t = src.buf(s"b[$k].cols()")
-            src.line(s"b[$k].copyRow(0, $t);")
-            Left(t)
-          }
-          else if (h.rows == rowDim) {
-            val t = src.buf(s"b[$k].cols()")
-            src.line(s"b[$k].copyRow(rix, $t);")
-            Left(t)
-          }
-          else throw new IllegalStateException(s"non row-aligned side input in Row chain: $h")
+        val k = inputIndex(h, cplan)
+        if (h.rows == 1 && h.cols == 1) Scal(s"b[$k].get(0, 0)")
+        else if (h.rows == cplan.rowDim && h.cols == 1) Scal(s"b[$k].get(rix, 0)")
+        else if (h.rows == 1 || h.rows == cplan.rowDim) {
+          val t = src.buf(s"b[$k].cols()")
+          src.line(s"b[$k].copyRow(${if (h.rows == 1) "0" else "rix"}, $t);")
+          src.vec(t)
+        }
+        else throw new IllegalStateException(s"non row-aligned side input in Row chain: $h")
       }
       else h match {
-        case u: UnaryHop =>
-          emitRow(u.in, cplan, src) match {
-            case Right(x) => Right(unaryJava(u.op, x))
-            case Left(xv) =>
-              val t = src.buf(s"$xv.length")
-              src.line(s"for (int i_ = 0; i_ < $t.length; i_++) $t[i_] = ${unaryJava(u.op, s"$xv[i_]")};")
-              Left(t)
-          }
-        case bin: BinaryHop =>
-          (emitRow(bin.left, cplan, src), emitRow(bin.right, cplan, src)) match {
-            case (Right(x), Right(y)) => Right(binaryJava(bin.op, x, y))
-            case (Left(xv), Right(y)) =>
-              val sv = src.fresh()
-              src.line(s"double $sv = $y;")
-              val t = src.buf(s"$xv.length")
-              src.line(s"for (int i_ = 0; i_ < $t.length; i_++) $t[i_] = ${binaryJava(bin.op, s"$xv[i_]", sv)};")
-              Left(t)
-            case (Right(x), Left(yv)) =>
-              val sv = src.fresh()
-              src.line(s"double $sv = $x;")
-              val t = src.buf(s"$yv.length")
-              src.line(s"for (int i_ = 0; i_ < $t.length; i_++) $t[i_] = ${binaryJava(bin.op, sv, s"$yv[i_]")};")
-              Left(t)
-            case (Left(xv), Left(yv)) =>
-              val t = src.buf(s"$xv.length")
-              src.line(s"for (int i_ = 0; i_ < $t.length; i_++) $t[i_] = ${binaryJava(bin.op, s"$xv[i_]", s"$yv[i_]")};")
-              Left(t)
-          }
-        case a: AggHop if a.dir == RowDir =>
-          emitRow(a.in, cplan, src) match {
-            case Right(x) => Right(x) // rowSums of a per-row scalar is itself
-            case Left(xv) =>
-              val t = src.fresh()
-              a.func match {
-                case SumAgg => src.line(s"double $t = VectorPrims.vectSum($xv);")
-                case MinAgg =>
-                  src.line(s"double $t = Double.POSITIVE_INFINITY;")
-                  src.line(s"for (int i_ = 0; i_ < $xv.length; i_++) $t = Math.min($t, $xv[i_]);")
-                case MaxAgg =>
-                  src.line(s"double $t = Double.NEGATIVE_INFINITY;")
-                  src.line(s"for (int i_ = 0; i_ < $xv.length; i_++) $t = Math.max($t, $xv[i_]);")
-              }
-              Right(t)
-          }
-        case m: MatMulHop if !TemplateType.isTransposeLeftMatMul(m) =>
+        case u: UnaryHop => emit(u.in) match {
+          case Scal(x) => Scal(unaryJava(u.op, x))
+          case v =>
+            val d = src.dense(v)
+            src.loop(d.len)(i => unaryJava(u.op, d.at(i)))
+        }
+        case bin: BinaryHop => (emit(bin.left), emit(bin.right)) match {
+          case (Scal(x), Scal(y)) => Scal(binaryJava(bin.op, x, y))
+          case (l, Scal(y)) =>
+            val (d, sv) = (src.dense(l), src.local(y))
+            src.loop(d.len)(i => binaryJava(bin.op, d.at(i), sv))
+          case (Scal(x), r) =>
+            val (sv, d) = (src.local(x), src.dense(r))
+            src.loop(d.len)(i => binaryJava(bin.op, sv, d.at(i)))
+          case (l, r) =>
+            val (dl, dr) = (src.dense(l), src.dense(r))
+            src.loop(dl.len)(i => binaryJava(bin.op, dl.at(i), dr.at(i)))
+        }
+        case a: AggHop if a.dir == RowDir => emit(a.in) match {
+          case s: Scal => s // the row aggregate of a per-row scalar is itself
+          case v if a.func == SumAgg => Scal(src.local(src.sum(v)))
+          case v =>
+            val d = src.dense(v)
+            val (init, f) = if (a.func == MinAgg) ("Double.POSITIVE_INFINITY", "min") else ("Double.NEGATIVE_INFINITY", "max")
+            val t = src.local(init)
+            src.line(s"for (int i_ = 0; i_ < ${d.len}; i_++) $t = Math.$f($t, ${d.at("i_")});")
+            Scal(t)
+        }
+        case m: MatMulHop =>
+          // a narrow matmult: the right operand is an input, read whole
           val k = inputIndex(m.right, cplan)
-          val scalarOut = m.right.cols == 1
-          emitRow(m.left, cplan, src) match {
-            case Left(lv) =>
-              if (scalarOut) {
-                val t = src.fresh()
-                src.line(s"double $t = VectorPrims.dotProduct($lv, b[$k].toDense().values(), 0, 0, $lv.length);")
-                Right(t)
-              } else {
-                val tb = src.buf(s"b[$k].cols()")
-                src.line(s"VectorPrims.vectMatMultWrite($lv, b[$k].toDense().values(), $tb, $lv.length, b[$k].cols());")
-                Left(tb)
-              }
-            case Right(x) => Right(s"($x * b[$k].get(0, 0))") // 1x1 chain times 1x1 rhs
-          }
-        case t: TransposeHop =>
-          // structural transpose of a row source (read X rows directly)
-          emitRow(t.in, cplan, src) match {
-            case l @ Left(_) => l
-            case r => r
+          src.whole += k
+          val bv = s"b[$k].toDense().values()"
+          val cols = s"b[$k].cols()"
+          (emit(m.left), m.right.cols == 1) match {
+            case (Scal(x), true)  => Scal(s"($x * b[$k].get(0, 0))")
+            case (Scal(x), false) => // outer product: the scalar times B's one row
+              val sv = src.local(x)
+              src.loop(cols)(i => s"$sv * $bv[$i]")
+            case (SparseRow, true) =>
+              Scal(src.local(s"VectorPrims.dotProduct(avals, $bv, aix, apos, 0, alen)"))
+            case (SparseRow, false) =>
+              val t = src.buf(cols)
+              src.line(s"VectorPrims.vectMatMultWrite($sparseRow, $bv, $t, $cols);")
+              src.vec(t)
+            case (d: Vec, true) =>
+              Scal(src.local(s"VectorPrims.dotProduct(${d.arr}, $bv, ${d.off}, 0, ${d.len})"))
+            case (d: Vec, false) =>
+              val t = src.buf(cols)
+              src.line(s"VectorPrims.vectMatMultWrite(${d.arr}, ${d.off}, $bv, $t, ${d.len}, $cols);")
+              src.vec(t)
           }
         case _ => throw new IllegalStateException(s"unsupported hop in Row chain: $h")
       }
-    src.memo(h.id) = result match {
-      case Left(v)  => "[]" + v
-      case Right(e) => e
-    }
+    src.values(h.id) = result
     result
-  }
-
-  /** Emit a Row node that must be a vector (coerce scalars to length-1;
-    * materialized transpose sides are read by column extraction). */
-  private def emitRowVec(h: Hop, cplan: CPlan, src: Src): String = {
-    // a materialized transpose side (t(X) read column-wise) needs extraction
-    if (!cplan.covered.contains(h.id) && !h.isInstanceOf[LitHop] &&
-        h.rows != cplan.rowDim && h.rows != 1) {
-      val k = inputIndex(h, cplan)
-      val t = src.buf(s"b[$k].rows()")
-      src.line(s"for (int i_ = 0; i_ < $t.length; i_++) $t[i_] = b[$k].get(i_, rix);")
-      return t
-    }
-    emitRow(h, cplan, src) match {
-      case Left(v) => v
-      case Right(x) =>
-        val t = src.buf("1")
-        src.line(s"$t[0] = $x;")
-        t
-    }
   }
 
   // --------------------------------------------------------------- Outer

@@ -27,10 +27,11 @@ final case class CostConfig(
 object CostModel {
 
   /** Estimated serialized size of a hop's output. */
-  def sizeBytes(h: Hop): Double = {
-    val sparse = h.sparsity < 0.4 && h.numCells > 1
-    if (sparse) h.nnz.toDouble * 12.0 else h.numCells.toDouble * 8.0
-  }
+  def sizeBytes(h: Hop): Double =
+    if (isSparse(h)) h.nnz.toDouble * 12.0 else h.numCells.toDouble * 8.0
+
+  /** Is a hop's output held in the sparse format? */
+  def isSparse(h: Hop): Boolean = h.sparsity < 0.4 && h.numCells > 1
 
   /** Effective flops of a scalar op — transcendental functions cost far
     * more than one FLOP (important for redundant-compute decisions over
@@ -101,10 +102,12 @@ object CostModel {
         // input (the sparse driver)
         val scale = if (cplan.sparseSafe) math.max(main.sparsity, 1e-9) else 1.0
         val total = cplan.roots.map(r => CPlan.coveredHops(r, cplan.covered).map(flops).sum).sum
-        // Row skeletons densify the main row per iteration (no native
-        // sparse-row genexec): charge the full cell count of the main
-        val densify = if (cplan.tpe == RowTpl) main.numCells.toDouble else 0.0
-        (total * scale + densify) / cfg.computeBandwidth
+        // Row skeletons read a dense main row in place and a sparse one by
+        // its non-zeros, which a chain may scatter into a dense row
+        val rowRead =
+          if (cplan.tpe != RowTpl || !isSparse(main)) 0.0
+          else main.nnz.toDouble + (if (cplan.scattersMainRow) main.numCells.toDouble else 0.0)
+        (total * scale + rowRead) / cfg.computeBandwidth
       case h: PHandCoded =>
         throw new IllegalArgumentException(s"the Fused baseline is never costed: $h")
     }

@@ -95,19 +95,11 @@ object Selector {
 
   /** Best-effort prefiltering of constraint violations (paper §4.4):
     * Row-template entries whose main input is distributed and wider than
-    * the block size cannot execute distributed; Row templates over
-    * ultra-sparse wide mains would densify every row (our skeleton has no
-    * native sparse-row genexec) and are excluded as well. */
+    * the block size cannot execute distributed. */
   private def prefilterConstraints(dagRoots: Seq[Hop], memo: MemoTable, cfg: CostConfig): Unit =
     memo.filterEntries { (h, e) =>
-      if (e.tpe != RowTpl) true
-      else {
-        val wideDistInput = (h +: h.inputs).exists(in =>
-          in.numCells > 1 && CostModel.isDistributedHop(in, cfg) && in.cols > cfg.blockCols)
-        val ultraSparseWide = (h +: h.inputs).exists(in =>
-          in.numCells > 1_000_000L && in.cols > 256 && in.sparsity < 0.05)
-        !wideDistInput && !ultraSparseWide
-      }
+      e.tpe != RowTpl || !(h +: h.inputs).exists(in =>
+        in.numCells > 1 && CostModel.isDistributedHop(in, cfg) && in.cols > cfg.blockCols)
     }
 
   // ------------------------------------------------------- MPSkipEnum

@@ -97,7 +97,7 @@ object DistOps {
 
   /** Combines two partials by element-wise sum, into `p`. */
   val sumCombine: (Array[Double], Array[Double]) => Array[Double] =
-    (p, q) => { VectorPrims.vectAdd(q, p); p }
+    (p, q) => { VectorPrims.vectAdd(q, 0, p, 0, q.length); p }
 
   /** Combines two partials position by position, position `i` with
     * `funcs(i)`, into `p`. */

@@ -12,13 +12,16 @@ import scala.collection.concurrent.TrieMap
 abstract class CellExec extends Serializable {
   def genexec(a: Double, b: Array[MatrixBlock], rix: Int, cix: Int): Double
 }
+/** One row of a Row operator, read in place: the generated code computes
+  * the row's result and writes or adds it into the skeleton's output `c`
+  * as its variant says (paper §2.2). */
 abstract class RowExec extends Serializable {
-  /** Vector-rooted variants (NO_AGG, COL_AGG, z-side of COL_AGG_B1_T). */
-  def genexecVec(a: Array[Double], b: Array[MatrixBlock], rix: Int): Array[Double] = null
-  /** Scalar-rooted variants (ROW_AGG, FULL_AGG). */
-  def genexecScalar(a: Array[Double], b: Array[MatrixBlock], rix: Int): Double = 0.0
-  /** The x-side row of COL_AGG_B1_T (t(X) %*% Z). */
-  def genexecVec2(a: Array[Double], b: Array[MatrixBlock], rix: Int): Array[Double] = null
+  /** Dense main row a[ai, ai + len). */
+  def genexec(a: Array[Double], ai: Int, b: Array[MatrixBlock], c: Array[Double], rix: Int, len: Int): Unit
+  /** Sparse main row: the alen non-zeros avals/aix[apos, apos + alen) of a
+    * row of len columns. */
+  def genexec(avals: Array[Double], aix: Array[Int], apos: Int, alen: Int,
+              b: Array[MatrixBlock], c: Array[Double], rix: Int, len: Int): Unit
 }
 abstract class OuterExec extends Serializable {
   def genexec(x: Double, u: Array[Double], v: Array[Double],

@@ -5,11 +5,13 @@ import repro.runtime.Ops._
 
 /** Hand-coded skeletons of fused operators (paper §2.2 "Runtime
   * Integration", Fig. 4). The skeleton owns the data access and calls the
-  * generated `genexec` per value/row. It iterates only the non-zeros of a
-  * sparse main input exactly when its CPlan is sparse-safe, a decision
-  * made once when the CPlan is bound; a compressed main input is read on
-  * its dictionaries by [[SpoofMultiAgg]] (scalar side inputs only, sums
-  * only) and decompressed by every other path. Generated operators are Java classes
+  * generated `genexec` per value/row. The cell-wise skeletons iterate only
+  * the non-zeros of a sparse main input exactly when its CPlan is
+  * sparse-safe, a decision made once when the CPlan is bound; the Row
+  * skeleton hands every row in place, a sparse one as its non-zeros, to a
+  * generated sparse-row variant. A compressed main input is read on its
+  * dictionaries by [[SpoofMultiAgg]] (scalar side inputs only, sums only)
+  * and decompressed by every other path. Generated operators are Java classes
   * produced by [[repro.compiler.Codegen]] (compiled in-memory); the
   * skeleton + shared [[VectorPrims]] keep the per-operator instruction
   * footprint small.
@@ -209,94 +211,58 @@ final class SpoofMultiAgg(
   }
 }
 
-/** Row template skeleton: iterates (dense or densified sparse) rows of the
-  * main input; the generated row program returns a row vector or scalar,
-  * accumulated according to the row variant. */
+/** Row template skeleton: hands each row of the main input in place to
+  * the generated operator, a dense row as (values, offset) and a sparse
+  * row as its non-zeros (paper §2.2); a compressed main input is
+  * decompressed once per call. The generated code writes or accumulates
+  * each row's result into the output, whose shape the variant and the
+  * CPlan root's dimensions (`rootRows` x `rootCols`) give. It reads the
+  * `wholeInputs` whole, so a sparse one is densified once per call; it
+  * reads every other side input by row. */
 final class SpoofRowwise(
     val variant: RowVariant,
+    val rootRows: Int,
+    val rootCols: Int,
+    val wholeInputs: Set[Int],
     val exec: ExecRef[RowExec],
 ) extends SpoofOperator {
 
-  /** Output dimensions are taken from the first row's result — generated
-    * operators are shape-generic and shared across data sizes. */
   def execute(inputs0: IndexedSeq[MatrixBlock]): MatrixBlock = {
     val inputs = new Array[MatrixBlock](inputs0.length)
     var k = 0
     while (k < inputs.length) {
       inputs(k) = inputs0(k) match {
-        // densify non-main sides except large row-aligned sparse matrices
-        case s: SparseBlock if k > 0 && s.numCells <= (1L << 24) => s.toDense
-        case b => b
+        case c: CompressedBlock               => c.toDense
+        case s: SparseBlock if wholeInputs(k) => s.toDense
+        case b                                => b
       }
       k += 1
     }
     val gx = exec.get
-    val main = inputs(0)
-    val n = main.rows
-    require(n > 0, "empty row block")
-    val row = new Array[Double](main.cols) // reused row buffer
-    variant match {
-      case RowNoAgg =>
-        main.copyRow(0, row)
-        val r0 = gx.genexecVec(row, inputs, 0)
-        val outCols = r0.length
-        val out = new Array[Double](n * outCols)
-        System.arraycopy(r0, 0, out, 0, outCols)
-        var i = 1
-        while (i < n) {
-          main.copyRow(i, row)
-          val r = gx.genexecVec(row, inputs, i)
-          System.arraycopy(r, 0, out, i * outCols, outCols)
-          i += 1
-        }
-        new DenseBlock(n, outCols, out)
-      case RowRowAgg =>
-        val out = new Array[Double](n)
-        var i = 0
-        while (i < n) {
-          main.copyRow(i, row)
-          out(i) = gx.genexecScalar(row, inputs, i)
-          i += 1
-        }
-        MatrixBlock.dense(n, 1, out)
-      case RowColAgg =>
-        main.copyRow(0, row)
-        val out = gx.genexecVec(row, inputs, 0).clone()
-        var i = 1
-        while (i < n) {
-          main.copyRow(i, row)
-          VectorPrims.vectAdd(gx.genexecVec(row, inputs, i), out)
-          i += 1
-        }
-        MatrixBlock.dense(1, out.length, out)
-      case RowFullAgg =>
-        var acc = 0.0
-        var i = 0
-        while (i < n) {
-          main.copyRow(i, row)
-          acc += gx.genexecScalar(row, inputs, i)
-          i += 1
-        }
-        MatrixBlock.dense(1, 1, Array(acc))
-      case RowColAggT =>
-        main.copyRow(0, row)
-        val x0 = gx.genexecVec2(row, inputs, 0)
-        val outRows = x0.length
-        val xCopy = x0.clone() // z-side evaluation may reuse buffers
-        val z0 = gx.genexecVec(row, inputs, 0)
-        val outCols = z0.length
-        val out = new Array[Double](outRows * outCols)
-        VectorPrims.vectOuterMultAdd(xCopy, z0, out, 0, outRows, outCols)
-        var i = 1
-        while (i < n) {
-          main.copyRow(i, row)
-          System.arraycopy(gx.genexecVec2(row, inputs, i), 0, xCopy, 0, outRows)
-          val z = gx.genexecVec(row, inputs, i)
-          VectorPrims.vectOuterMultAdd(xCopy, z, out, 0, outRows, outCols)
-          i += 1
-        }
-        new DenseBlock(outRows, outCols, out)
+    val n = inputs(0).rows
+    val m = inputs(0).cols
+    val (outRows, outCols) = variant match {
+      case RowNoAgg   => (n, rootCols)
+      case RowRowAgg  => (n, 1)
+      case RowColAgg  => (1, rootCols)
+      case RowFullAgg => (1, 1)
+      case RowColAggT => (rootRows, rootCols)
     }
+    val c = new Array[Double](outRows * outCols)
+    inputs(0) match {
+      case s: SparseBlock =>
+        var i = 0
+        while (i < n) {
+          val apos = s.rowPtr(i)
+          gx.genexec(s.vals, s.colIdx, apos, s.rowPtr(i + 1) - apos, inputs, c, i, m)
+          i += 1
+        }
+      case d =>
+        val a = d.toDense.values
+        var i = 0
+        while (i < n) { gx.genexec(a, i * m, inputs, c, i, m); i += 1 }
+    }
+    new DenseBlock(outRows, outCols, c)
   }
 }
 

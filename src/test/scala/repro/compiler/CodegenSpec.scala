@@ -266,6 +266,74 @@ class CodegenSpec extends SparkSpec {
     }
   }
 
+  // ---- a Row matmult of a per-row scalar and a 1 x k row: outer product --
+  // Per row, the scalar times the right operand's one row is a vector of
+  // length k, not a scalar.
+  test("(v %*% t(w)) %*% abs(t(X)) with v, w 6x1, X 40x6 equals Base (6x40)") {
+    TestLA.modesAgree() { implicit ctx =>
+      val v = ctx.bindLocal("v", dense(6, 1, 90))
+      val w = ctx.bindLocal("w", dense(6, 1, 91))
+      val x = ctx.bindLocal("X", dense(40, 6, 92))
+      Seq((v %*% w.t) %*% x.t.abs)
+    }
+  }
+  test("rowSums(t(X)) %*% colSums(abs(t(X))) with X 40x20 equals Base (20x40)") {
+    TestLA.modesAgree(tol = 1e-8) { implicit ctx =>
+      val x = ctx.bindLocal("X", dense(40, 20, 93))
+      Seq(x.t.rowSums %*% x.t.abs.colSums)
+    }
+  }
+  test("max(log(abs(V) + 1), v %*% b) with V 20x20 equals Base") {
+    TestLA.modesAgree() { implicit ctx =>
+      val vm = ctx.bindLocal("V", dense(20, 20, 94))
+      val v = ctx.bindLocal("v", dense(20, 1, 95))
+      val b = ctx.bindLocal("b", dense(1, 20, 96))
+      Seq((vm.abs + 1.0).log max (v %*% b))
+    }
+  }
+
+  test("(abs(y %*% t(z)) + sign(X)) %*% abs(V) with y 40x1, z 20x1 equals Base") {
+    TestLA.modesAgree(tol = 1e-8) { implicit ctx =>
+      val y = ctx.bindLocal("y", dense(40, 1, 100))
+      val z = ctx.bindLocal("z", dense(20, 1, 101))
+      val x = ctx.bindLocal("X", dense(40, 20, 102))
+      val v = ctx.bindLocal("V", dense(20, 4, 103))
+      Seq(((y %*% z.t).abs + x.sign) %*% v.abs)
+    }
+  }
+  test("rowMaxs(sign(min(v %*% t(y), abs(t(X))))) over sparse X equals Base") {
+    TestLA.modesAgree() { implicit ctx =>
+      val v = ctx.bindLocal("v", dense(20, 1, 104))
+      val y = ctx.bindLocal("y", dense(40, 1, 105))
+      val x = ctx.bindLocal("X", MatrixBlock.rand(40, 20, 0.15, 106, min = -1, max = 1))
+      Seq((v %*% y.t).min(x.t.abs).sign.rowMaxs)
+    }
+  }
+
+  // ---- Row CPlans the generated code cannot read per row are refused -----
+  // and extraction takes the next-ranked entry.
+  test("X %*% (A %*% A) with A = abs(t(X) %*% X), X 40x5 equals Base") {
+    TestLA.modesAgree(tol = 1e-8) { implicit ctx =>
+      val x = ctx.bindLocal("X", dense(40, 5, 97))
+      val a = (x.t %*% x).abs
+      Seq(x %*% (a %*% a))
+    }
+  }
+  // A Row operator adds up its rows' results: a column max is no sum.
+  test("colMaxs(X * 2.0) equals Base") {
+    TestLA.modesAgree() { implicit ctx =>
+      val x = ctx.bindLocal("X", dense(40, 20, 107))
+      Seq(new MX(new AggHop(Ops.MaxAgg, Ops.ColDir, (x * 2.0).hop)))
+    }
+  }
+  test("t(V) %*% t(X) with V 20x3, X 40x20 equals Base (3x40)") {
+    TestLA.modesAgree() { implicit ctx =>
+      val v = ctx.bindLocal("V", dense(20, 3, 98))
+      val x = ctx.bindLocal("X", dense(40, 20, 99))
+      Seq(v.t %*% x.t)
+    }
+  }
+
   // ---- an Outer operator needs an input of the outer product's size -----
   // Its skeleton iterates the cells of that input (the driver X); without
   // one there is nothing to iterate, and U %*% t(V) stays a basic matmult.
@@ -341,17 +409,34 @@ class CodegenSpec extends SparkSpec {
   }
 
   // ---- Cell row and column aggregates -----------------------------------
-  // Over an ultra-sparse wide X the Row template is filtered out (its
-  // skeleton would densify every row), so Cell operators aggregate.
-  test("Cell row and column aggregates over ultra-sparse wide X equal Base") {
-    def build(ctx: ExecContext): Seq[MX] = {
+  // Over a distributed X wider than a block's columns, a Row operator would
+  // need whole rows per block (constraint Z, infinite cost), so Cell
+  // operators aggregate.
+  test("Cell row and column aggregates over a distributed X wider than a block equal Base") {
+    val x0 = MatrixBlock.rand(64, 40, 0.1, 70, min = -1, max = 1)
+    val cfg = CostConfig(localMemBudget = 1L << 10, distLatencyS = 0.0, blockCols = 16)
+    def build(ctx: ExecContext, x: MX): Seq[MX] = {
       implicit val c: ExecContext = ctx
-      val x = ctx.bindLocal("X", MatrixBlock.rand(1100, 1000, 0.01, 70, min = -1, max = 1))
       Seq((x * 2.0).rowSums, x.abs.colSums, (x * 3.0).rowMaxs, (x * 3.0).rowMins)
     }
-    TestLA.modesAgree(tol = 1e-8)(build)
-    val variants = TestLA.genFusesAtLeast(1)(build).ops.collect { case PFused(c) if c.tpe == CellTpl => c.cellVariant.get }
-    assert(variants.exists(_.isInstanceOf[CellRowAgg]) && variants.exists(_.isInstanceOf[CellColAgg]), variants)
+    val lCtx = new ExecContext(BaseMode)
+    val expect = lCtx.eval(build(lCtx, lCtx.bindLocal("X", x0))).map(_.toLocal)
+    withDist(repro.dist.DistOps.fromLocal(spark, x0, 16)) { dm =>
+      for (mode <- TestLA.allModes) {
+        val ctx = new ExecContext(mode, cfg, Some(spark), 16)
+        val roots = build(ctx, ctx.bindDist("X", dm))
+        if (mode == GenMode(CostBased)) {
+          val variants = ctx.compilePlan(roots.map(_.hop)).ops.collect {
+            case PFused(c) if c.tpe == CellTpl => c.cellVariant.get
+          }
+          assert(variants.exists(_.isInstanceOf[CellRowAgg]) && variants.exists(_.isInstanceOf[CellColAgg]), variants)
+        }
+        ctx.eval(roots).map(_.toLocal).zip(expect).zipWithIndex.foreach { case ((g, e), k) =>
+          val d = MatrixBlock.maxAbsDiff(g, e)
+          assert(d <= 1e-8, s"${mode.label} output $k differs from Base by $d")
+        }
+      }
+    }
   }
 
   // ---- ExecRef: one instance per thread, Java serialization -------------

@@ -77,10 +77,11 @@ class CostModelSpec extends SparkSpec {
     assert(CostModel.opCost(PFused(cplan), smallCfg).isPosInfinity)
   }
 
-  /** The Row operator of `v * (X %*% W)` as extraction binds it: extraction
-    * finds v (n x k) first, but the skeleton iterates rows of the wider X. */
-  private def rowOverX(x: Hop, v: Hop, w: Hop): CPlan = {
-    val roots = Seq(new BinaryHop(Ops.Mult, v, new MatMulHop(x, w)))
+  /** The Row operator of `v * (f(X) %*% W)` as extraction binds it:
+    * extraction finds v (n x k) first, but the skeleton iterates rows of
+    * the wider X. */
+  private def rowOverX(x: Hop, v: Hop, w: Hop, f: Hop => Hop = identity): CPlan = {
+    val roots = Seq(new BinaryHop(Ops.Mult, v, new MatMulHop(f(x), w)))
     PlanExtractor.extract(roots, Explorer.explore(roots), Set.empty).ops match {
       case Seq(PFused(c)) if c.tpe == RowTpl =>
         assert(c.inputs.map(_.id).toSet == Set(v.id, x.id, w.id), c.inputs)
@@ -98,17 +99,26 @@ class CostModelSpec extends SparkSpec {
     assert(CostModel.opCost(PFused(rowOverX(x, v, w)), smallCfg).isPosInfinity)
   }
 
-  test("a local Row operator's compute term densifies its bound main input") {
+  test("a local Row operator's compute term reads a dense main in place and a sparse main by its non-zeros") {
     // compute-bound: reads and writes are free, one FLOP per second
     val slowCfg = cfg.copy(readBandwidth = 1e30, writeBandwidth = 1e30, computeBandwidth = 1.0)
-    val x = new LeafHop("X", 1000, 50, 0.1)
     val v = new LeafHop("v", 1000, 4, 1.0)
     val w = new LeafHop("W", 50, 4, 1.0)
-    val cplan = rowOverX(x, v, w)
-    val chain = CPlan.coveredHops(cplan.root, cplan.covered).map(CostModel.flops).sum
-    val expected = chain + x.numCells
-    val got = CostModel.opCost(PFused(cplan), slowCfg)
-    assert(math.abs(got - expected) <= 1e-9 * expected, s"compute $got, expected $expected")
+    /** The operator's compute term minus its chain's flops. */
+    def rowRead(x: Hop, f: Hop => Hop): Double = {
+      val cplan = rowOverX(x, v, w, f)
+      val chain = CPlan.coveredHops(cplan.root, cplan.covered).map(CostModel.flops).sum
+      CostModel.opCost(PFused(cplan), slowCfg) - chain
+    }
+    val dense = new LeafHop("X", 1000, 50, 1.0)
+    val sparse = new LeafHop("X", 1000, 50, 0.1)
+    def near(got: Double, expected: Double) = assert(math.abs(got - expected) <= 1e-6, s"$got != $expected")
+    // X %*% W reads the row in place: no per-cell term, the non-zeros if sparse
+    near(rowRead(dense, identity), 0.0)
+    near(rowRead(sparse, identity), sparse.nnz.toDouble)
+    // abs(X) scatters a sparse row into a dense one: its cells as well
+    near(rowRead(dense, new UnaryHop(Ops.Abs, _)), 0.0)
+    near(rowRead(sparse, new UnaryHop(Ops.Abs, _)), sparse.nnz.toDouble + sparse.numCells)
   }
 
   test("lower bound never exceeds the actual optimal cost") {
