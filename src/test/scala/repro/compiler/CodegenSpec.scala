@@ -411,9 +411,11 @@ class CodegenSpec extends SparkSpec {
   // ---- Cell row and column aggregates -----------------------------------
   // Over a distributed X wider than a block's columns, a Row operator would
   // need whole rows per block (constraint Z, infinite cost), so Cell
-  // operators aggregate.
-  test("Cell row and column aggregates over a distributed X wider than a block equal Base") {
-    val x0 = MatrixBlock.rand(64, 40, 0.1, 70, min = -1, max = 1)
+  // operators aggregate. X is ultra-sparse (fewer non-zeros than rows), so
+  // most rows and many columns are empty.
+  test("Cell row and column aggregates over ultra-sparse wide X equal Base") {
+    val x0 = MatrixBlock.rand(256, 40, 0.02, 70, min = -1, max = 1)
+    assert(x0.nnz < x0.rows, s"${x0.nnz} non-zeros in ${x0.rows} rows")
     val cfg = CostConfig(localMemBudget = 1L << 10, distLatencyS = 0.0, blockCols = 16)
     def build(ctx: ExecContext, x: MX): Seq[MX] = {
       implicit val c: ExecContext = ctx

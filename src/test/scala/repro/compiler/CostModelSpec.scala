@@ -99,25 +99,30 @@ class CostModelSpec extends SparkSpec {
     assert(CostModel.opCost(PFused(rowOverX(x, v, w)), smallCfg).isPosInfinity)
   }
 
-  test("a local Row operator's compute term reads a dense main in place and a sparse main by its non-zeros") {
+  /** A local Row operator's compute term, less its chain's flops, for
+    * `v * (f(X) %*% W)` with v 1000x4 and W 50x4. */
+  private def rowRead(x: Hop, f: Hop => Hop): Double = {
     // compute-bound: reads and writes are free, one FLOP per second
     val slowCfg = cfg.copy(readBandwidth = 1e30, writeBandwidth = 1e30, computeBandwidth = 1.0)
-    val v = new LeafHop("v", 1000, 4, 1.0)
-    val w = new LeafHop("W", 50, 4, 1.0)
-    /** The operator's compute term minus its chain's flops. */
-    def rowRead(x: Hop, f: Hop => Hop): Double = {
-      val cplan = rowOverX(x, v, w, f)
-      val chain = CPlan.coveredHops(cplan.root, cplan.covered).map(CostModel.flops).sum
-      CostModel.opCost(PFused(cplan), slowCfg) - chain
-    }
+    val cplan = rowOverX(x, new LeafHop("v", 1000, 4, 1.0), new LeafHop("W", 50, 4, 1.0), f)
+    val chain = CPlan.coveredHops(cplan.root, cplan.covered).map(CostModel.flops).sum
+    CostModel.opCost(PFused(cplan), slowCfg) - chain
+  }
+  private def near(got: Double, expected: Double) = assert(math.abs(got - expected) <= 1e-6, s"$got != $expected")
+
+  test("a local Row operator's compute term reads a dense main in place and a sparse main by its non-zeros") {
     val dense = new LeafHop("X", 1000, 50, 1.0)
     val sparse = new LeafHop("X", 1000, 50, 0.1)
-    def near(got: Double, expected: Double) = assert(math.abs(got - expected) <= 1e-6, s"$got != $expected")
     // X %*% W reads the row in place: no per-cell term, the non-zeros if sparse
     near(rowRead(dense, identity), 0.0)
     near(rowRead(sparse, identity), sparse.nnz.toDouble)
-    // abs(X) scatters a sparse row into a dense one: its cells as well
+    // abs(X) over a dense row reads it in place too
     near(rowRead(dense, new UnaryHop(Ops.Abs, _)), 0.0)
+  }
+
+  test("a local Row operator's compute term densifies its bound main input") {
+    // abs(X) scatters each sparse row into a dense one: its non-zeros and its cells
+    val sparse = new LeafHop("X", 1000, 50, 0.1)
     near(rowRead(sparse, new UnaryHop(Ops.Abs, _)), sparse.nnz.toDouble + sparse.numCells)
   }
 
