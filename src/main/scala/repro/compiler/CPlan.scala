@@ -10,10 +10,23 @@ sealed trait POp {
   def outputs: Seq[Hop]
   def inputs: Seq[Hop]
 }
-/** Basic (unfused) operator: compute `hop` from materialized inputs. */
-final case class PBasic(hop: Hop) extends POp {
+/** Basic (unfused) operator: compute `hop` from materialized `inputs`,
+  * the hop's own inputs except where [[PBasic.of]] decides otherwise. */
+final case class PBasic(hop: Hop, inputs: Seq[Hop]) extends POp {
   def outputs: Seq[Hop] = Seq(hop)
-  def inputs: Seq[Hop] = hop.inputs
+}
+object PBasic {
+  def apply(hop: Hop): PBasic = PBasic(hop, hop.inputs)
+
+  /** The basic operator of `h`. A matmult t(Y) %*% Z over a distributed Y
+    * reads Y in place of t(Y), in one pass over Y's row blocks: SystemML
+    * picks the physical operator of t(X) %*% Z at compile time. t(Y) is
+    * built only if another operator reads it. */
+  def of(h: Hop, cfg: CostConfig): PBasic = h match {
+    case m: MatMulHop if m.left.isInstanceOf[TransposeHop] && CostModel.isDistributedHop(m.left.inputs.head, cfg) =>
+      PBasic(m, Seq(m.left.inputs.head, m.right))
+    case _ => PBasic(h)
+  }
 }
 /** Fused operator, bound to its CPlan when extracted: one template
   * instance, or a multi-aggregate whose CPlan has k roots (k full
@@ -42,7 +55,7 @@ case object HWOuterLeft  extends HandKind { val name = "wdivmm-left" }
 final case class ExecPlan(ops: Seq[POp]) {
   def fusedOps: Seq[POp] = ops.filterNot(_.isInstanceOf[PBasic])
   override def toString: String = ops.map {
-    case PBasic(h)    => s"  basic $h"
+    case PBasic(h, in) => s"  basic $h inputs=${in.mkString(",")}"
     case PFused(c)    => s"  fused[${c.tpe}] roots=${c.roots.mkString(",")} covered={${c.covered.toSeq.sorted.mkString(",")}} inputs=${c.inputs.mkString(",")}"
     case PHandCoded(k, r, _, in) => s"  hand[${k.name}] root=$r inputs=${in.mkString(",")}"
   }.mkString("ExecPlan(\n", "\n", "\n)")
@@ -53,15 +66,15 @@ object ExecPlan {
   /** The one walk from DAG roots to ordered operators, shared by every
     * mode: each materialized hop is offered to `choose`; a claimed
     * operator's inputs are materialized next, an unclaimed hop becomes a
-    * [[PBasic]]. Operators come out sorted by the topological index of
+    * [[PBasic.of]]. Operators come out sorted by the topological index of
     * their last output, so producers precede consumers. */
-  def build(roots: Seq[Hop])(choose: Hop => Option[POp]): Seq[POp] = {
+  def build(roots: Seq[Hop], cfg: CostConfig)(choose: Hop => Option[POp]): Seq[POp] = {
     val produced = mutable.Map[Long, POp]()
     val stack = mutable.Stack[Hop](roots: _*)
     while (stack.nonEmpty) {
       val h = stack.pop()
       if (!produced.contains(h.id) && !h.isInstanceOf[LeafHop] && !h.isInstanceOf[LitHop]) {
-        val op = choose(h).getOrElse(PBasic(h))
+        val op = choose(h).getOrElse(PBasic.of(h, cfg))
         produced(h.id) = op
         op.inputs.foreach(stack.push)
       }
@@ -115,6 +128,7 @@ final case class CPlan(
     rowDim: Long,
     chainRoot: Hop,                  // cell-wise part under the aggregate or closing matmult (MAgg: first root's)
     wIdx: Int,                       // input index of an Outer closing matmult's W, else -1
+    opening: Option[MatMulHop] = None, // an Outer chain's opening U %*% t(V)
 ) {
   def root: Hop = roots.head
 
@@ -166,10 +180,10 @@ object CPlan {
   /** Build the CPlan of the fused operator that [[PlanExtractor]] extracts
     * at `root`: the covered hops and its materialized inputs, in the order
     * extraction found them. None if the template cannot bind the inputs:
-    * an Outer operator without a sparse driver, or a Row operator whose
-    * hops its generated code cannot read per row ([[rowEmittable]]). A full
-    * aggregate is a one-root MAgg CPlan whether a Cell or an MAgg entry
-    * roots it. */
+    * an Outer operator without opening matmult, sparse driver or bound W,
+    * or a Row operator whose hops its generated code cannot read per row
+    * ([[rowEmittable]]). A full aggregate is a one-root MAgg CPlan whether
+    * a Cell or an MAgg entry roots it. */
   private[compiler] def construct(root: Hop, tpe: TemplateType, covered: Set[Long],
                                   inputs: IndexedSeq[Hop]): Option[CPlan] = tpe match {
     case CellTpl | MAggTpl => Some(constructCell(root, covered, inputs))
@@ -279,10 +293,8 @@ object CPlan {
 
   private def constructOuter(root: Hop, covered: Set[Long], inputs: IndexedSeq[Hop]): Option[CPlan] = {
     val chainRoot = chainOf(root, OuterTpl, covered)
-    // locate the opening outer-product matmult in the covered chain
-    val opening = coveredHops(root, covered)
-      .collectFirst { case m: MatMulHop if TemplateType.isOuterMatMul(m) => m }
-      .getOrElse(throw new IllegalStateException(s"Outer plan without opening matmult at $root"))
+    val opening = coveredHops(chainRoot, covered)
+      .collectFirst { case m: MatMulHop if TemplateType.isOuterMatMul(m) => m }.getOrElse(return None)
     val u = opening.left
     val v = opening.right.asInstanceOf[TransposeHop].in
     // main = the sparse driver: the skeleton iterates its non-zeros, so
@@ -294,12 +306,12 @@ object CPlan {
       case _: AggHop => (OuterFullAgg, -1)
       case m: MatMulHop if m ne chainRoot =>
         val w = ordered.indexWhere(_ eq m.right)
-        if (w < 0) throw new IllegalStateException(s"W of $root not bound in Outer inputs $ordered")
+        if (w < 0) return None
         (if (m.left eq chainRoot) OuterRightMM else OuterLeftMM, w)
       case _ => (OuterNoAgg, -1)
     }
     Some(CPlan(OuterTpl, IndexedSeq(root), covered, ordered,
-      sparseSafe = true,
+      sparseSafe = true, opening = Some(opening),
       rowVariant = None, outerVariant = Some(variant), cellVariant = None,
       maggFuncs = IndexedSeq.empty, rowDim = chainRoot.rows, chainRoot = chainRoot, wIdx = wIdx))
   }

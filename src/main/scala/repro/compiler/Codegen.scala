@@ -356,14 +356,9 @@ object Codegen {
   // --------------------------------------------------------------- Outer
 
   private def outerSource(cplan: CPlan): String = {
-    val chainRoot = cplan.chainRoot
-    val opening = CPlan.coveredHops(chainRoot, cplan.covered)
-      .collectFirst { case m: MatMulHop if TemplateType.isOuterMatMul(m) => m }
-      .getOrElse(throw new IllegalStateException("Outer plan without opening matmult"))
-
     val src = new Src
     src.line("int R_ = b[2].cols();") // rank, read from V at runtime
-    val root = emitOuter(chainRoot, cplan, opening, src)
+    val root = emitOuter(cplan.chainRoot, cplan, cplan.opening.get, src)
     header("OuterExec") +
       "  public double genexec(double x, double[] u, double[] v, MatrixBlock[] b, int rix, int cix) {\n" +
       src.body.toString +

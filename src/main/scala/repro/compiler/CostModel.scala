@@ -95,7 +95,7 @@ object CostModel {
     val writeTime = outputs.map(o => sizeBytes(o) / cfg.writeBandwidth).sum
 
     val computeTime = op match {
-      case PBasic(h) => flops(h) / cfg.computeBandwidth
+      case PBasic(h, _) => flops(h) / cfg.computeBandwidth
       case PFused(cplan) =>
         val main = cplan.inputs.head
         // sparsity-exploiting operators iterate the non-zeros of their main

@@ -16,11 +16,11 @@ object HandCoded {
 
   /** Plan a DAG: hand-coded operators where a pattern matches (and all
     * interior nodes are consumed only inside the pattern), basic ops else. */
-  def plan(roots: Seq[Hop]): ExecPlan = {
+  def plan(roots: Seq[Hop], cfg: CostConfig): ExecPlan = {
     val consumers = Hop.consumers(roots)
     def single(h: Hop): Boolean = consumers(h.id).size <= 1
 
-    ExecPlan(ExecPlan.build(roots)(tryMatch(_, single)))
+    ExecPlan(ExecPlan.build(roots, cfg)(tryMatch(_, single)))
   }
 
   private def tryMatch(h: Hop, single: Hop => Boolean): Option[PHandCoded] = h match {
@@ -114,10 +114,8 @@ object HandCoded {
     }
     case MMChainXtwXv => inputs.head match {
       case LocalData(x) => LocalData(mmchainLocal(x, inputs(2).toLocal, Some(inputs(1).toLocal)))
-      case DistData(x)  => LocalData(mmchainDist(x, inputs(2).toLocal, inputs(1) match {
-        case LocalData(w) => Some(w)
-        case DistData(w)  => Some(DistOps.toLocal(w)) // weight vectors fit the driver
-      }))
+      // weight vectors fit the driver
+      case DistData(x)  => LocalData(mmchainDist(x, inputs(2).toLocal, Some(inputs(1).toLocal)))
     }
     case HSumSq => inputs.head match {
       case LocalData(x) => LocalData(sumSqLocal(x))
@@ -170,13 +168,9 @@ object HandCoded {
       x.cols.toInt, 1, DistOps.sumCombine)((_, b) => mmchainLocal(b(0), b(1), b.lift(2)))
 
   /** sum(X * Y) with X distributed and Y (same shape) distributed or local. */
-  private def sumProdDist(x: DistMatrix, y: MatrixData): MatrixBlock = {
-    val side = y match {
-      case DistData(yd) => DistSide(yd)
-      case LocalData(yl) => LocalSide(yl, rowAligned = true)
-    }
-    DistOps.reduceBlocks(x, Seq(side), 1, 1, DistOps.sumCombine)((_, b) => sumProdLocal(b(0), b(1)))
-  }
+  private def sumProdDist(x: DistMatrix, y: MatrixData): MatrixBlock =
+    DistOps.reduceBlocks(x, Seq(y.either.fold(DistSide, LocalSide(_, rowAligned = true))), 1, 1, DistOps.sumCombine)(
+      (_, b) => sumProdLocal(b(0), b(1)))
 
   def sumSqLocal(x: MatrixBlock): MatrixBlock = {
     var acc = 0.0

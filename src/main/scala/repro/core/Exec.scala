@@ -14,6 +14,8 @@ sealed trait MatrixData {
   def cols: Long
   def sparsity: Double
   def toLocal: MatrixBlock
+  /** Left for distributed blocks, Right for a local block. */
+  def either: Either[DistMatrix, MatrixBlock] = this match { case DistData(dm) => Left(dm); case LocalData(b) => Right(b) }
 }
 final case class LocalData(block: MatrixBlock) extends MatrixData {
   def rows: Long = block.rows
@@ -131,8 +133,8 @@ final class ExecContext(
 
   /** Plan an execution for the given DAG roots (exposed for tests). */
   def compilePlan(hops: Seq[Hop]): ExecPlan = mode match {
-    case BaseMode  => ExecPlan(ExecPlan.build(hops)(_ => None))
-    case FusedMode => HandCoded.plan(hops)
+    case BaseMode  => ExecPlan(ExecPlan.build(hops, cfg)(_ => None))
+    case FusedMode => HandCoded.plan(hops, cfg)
     case GenMode(policy) =>
       val t0 = System.nanoTime()
       CodegenStats.dagsOptimized.incrementAndGet()
@@ -165,9 +167,8 @@ object Executor {
         executeOp(op, values, ctx)
         op.outputs.filter(h => consumers(h.id) > 1 && !rootIds(h.id)).foreach { h =>
           values(h.id) match {
-            // a Dataset that is already cached (a transposed view of a
-            // cached leaf, or a plan Spark's cache manager matches) is not
-            // this run's to persist or release
+            // a Dataset whose plan Spark's cache manager matches to a
+            // cached one is not this run's to persist or release
             case DistData(dm) if dm.ds.storageLevel == StorageLevel.NONE => persisted += dm.ds.persist()
             case _ =>
           }
@@ -187,14 +188,14 @@ object Executor {
   /** Keep distributed only when above the configured memory budget —
     * mirrors [[CostModel.isDistributedHop]] so costs match execution. */
   private def place(h: Hop, data: MatrixData, ctx: ExecContext): MatrixData = data match {
-    case DistData(dm) if !CostModel.isDistributedHop(h, ctx.cfg) && !dm.transposed =>
+    case DistData(dm) if !CostModel.isDistributedHop(h, ctx.cfg) =>
       LocalData(DistOps.toLocal(dm))
     case d => d
   }
 
   private def executeOp(op: POp, values: mutable.Map[Long, MatrixData], ctx: ExecContext): Unit = op match {
-    case PBasic(h) =>
-      values(h.id) = place(h, Basic.execute(h, h.inputs.map(valueOf(_, values, ctx))), ctx)
+    case basic @ PBasic(h, inputs) =>
+      values(h.id) = place(h, Basic.execute(basic, inputs.map(valueOf(_, values, ctx))), ctx)
     case PFused(cplan) =>
       val res = executeFused(cplan, values, ctx)
       cplan.roots match {
@@ -218,22 +219,9 @@ object Executor {
     CodegenStats.codegenNanos.addAndGet(System.nanoTime() - t0)
     val datas = cplan.inputs.map(valueOf(_, values, ctx))
     datas.head match {
-      case LocalData(_) =>
-        // all-local execution; small distributed sides are collected
-        val blocks = datas.map {
-          case LocalData(b) => b
-          case DistData(dm) => DistOps.toLocal(dm)
-        }
-        LocalData(spoof.execute(blocks))
-      case DistData(_) =>
-        val eithers = datas.map {
-          case DistData(dm)  => Left(dm)
-          case LocalData(b)  => Right(b)
-        }
-        DistTemplates.execute(spoof, cplan, eithers) match {
-          case Left(dm) => DistData(dm)
-          case Right(b) => LocalData(b)
-        }
+      // all-local execution; small distributed sides are collected
+      case LocalData(_) => LocalData(spoof.execute(datas.map(_.toLocal)))
+      case DistData(_) => DistTemplates.execute(spoof, cplan, datas.map(_.either)).fold(DistData, LocalData)
     }
   }
 }
@@ -242,29 +230,35 @@ object Executor {
   * the physical operator layer underneath every execution mode. */
 object Basic {
 
-  /** The local kernels read dense and sparse blocks: a compressed local
-    * input is decompressed once, here, except for a full or column sum,
-    * which its dictionaries answer. */
-  def execute(h: Hop, inputs: Seq[MatrixData]): MatrixData = (h, inputs) match {
+  /** Runs `op` over the values of its inputs. The local kernels read
+    * dense and sparse blocks: a compressed local input is decompressed
+    * once, here, except for a full or column sum, which its dictionaries
+    * answer. */
+  def execute(op: PBasic, inputs: Seq[MatrixData]): MatrixData = (op.hop, inputs) match {
     case (a: AggHop, Seq(LocalData(c: CompressedBlock))) if a.func == SumAgg && a.dir != RowDir =>
       val colSums = c.colSums
       LocalData(if (a.dir == ColDir) colSums else MatrixBlock.dense(1, 1, Array(colSums.values.sum)))
-    case _ => executeOp(h, inputs.map {
+    case _ => executeOp(op, inputs.map {
       case LocalData(c: CompressedBlock) => LocalData(c.toDense)
       case d                             => d
     })
   }
 
-  private def executeOp(h: Hop, inputs: Seq[MatrixData]): MatrixData = h match {
+  private def executeOp(op: PBasic, inputs: Seq[MatrixData]): MatrixData = op.hop match {
     case u: UnaryHop => inputs.head match {
       case LocalData(b) => LocalData(LocalOps.unary(u.op, b))
       case DistData(dm) => DistData(DistOps.unary(u.op, dm))
     }
     case b: BinaryHop => executeBinary(b, inputs(0), inputs(1))
-    case m: MatMulHop => executeMatMul(m, inputs(0), inputs(1))
-    case t: TransposeHop => inputs.head match {
+    case m: MatMulHop if !(op.inputs.head eq m.left) => inputs.head match {
+      // t(Y) %*% Z that the plan reads Y for (PBasic.of): one pass over Y's row blocks
+      case DistData(y) => LocalData(DistOps.matmulTransposeLeft(y, inputs(1).either))
+      case LocalData(y) => executeMatMul(LocalData(LocalOps.transpose(y)), inputs(1))
+    }
+    case _: MatMulHop => executeMatMul(inputs(0), inputs(1))
+    case _: TransposeHop => inputs.head match {
       case LocalData(b) => LocalData(LocalOps.transpose(b))
-      case DistData(dm) => DistData(dm.copy(transposed = !dm.transposed)) // lazy view
+      case DistData(dm) => DistData(DistOps.transpose(dm))
     }
     case a: AggHop => inputs.head match {
       case LocalData(b) => LocalData(LocalOps.agg(a.func, a.dir, b))
@@ -292,16 +286,11 @@ object Basic {
       else DistData(DistOps.binaryLocalDist(b.op, lb, rd))
   }
 
-  private def executeMatMul(m: MatMulHop, l: MatrixData, r: MatrixData): MatrixData = (l, r) match {
+  private def executeMatMul(l: MatrixData, r: MatrixData): MatrixData = (l, r) match {
     case (LocalData(lb), LocalData(rb)) => LocalData(LocalOps.matmul(lb, rb))
-    case (DistData(ld), LocalData(rb)) =>
-      if (ld.transposed) LocalData(DistOps.matmulTransposeLeft(ld.copy(transposed = false), Right(rb)))
-      else DistData(DistOps.matmulDistLocal(ld, rb))
-    case (DistData(ld), DistData(rd)) =>
-      if (ld.transposed) LocalData(DistOps.matmulTransposeLeft(ld.copy(transposed = false), Left(rd)))
-      else throw new UnsupportedOperationException("distributed-distributed matmult (not needed: rhs is narrow/local)")
-    case (LocalData(lb), DistData(rd)) =>
-      require(!rd.transposed, "local %*% transposed-distributed unsupported")
-      LocalData(DistOps.matmulLocalDist(lb, rd))
+    case (DistData(ld), LocalData(rb))  => DistData(DistOps.matmulDistLocal(ld, rb))
+    case (LocalData(lb), DistData(rd))  => LocalData(DistOps.matmulLocalDist(lb, rd))
+    case (DistData(_), DistData(_)) =>
+      throw new UnsupportedOperationException("distributed-distributed matmult (not needed: rhs is narrow/local)")
   }
 }

@@ -33,19 +33,14 @@ object BlockRow {
 }
 
 /** Distributed matrix: a Dataset of row blocks plus logical metadata.
-  * `transposed` marks a lazy transpose view — only consumable by
-  * transpose-aware matrix multiplies (like SystemML's physical operator
-  * selection, which never materializes t(X) feeding a matmult).
   * Whoever creates a persisted matrix (see [[DistOps.fromLocal]]) owns it
-  * and calls `unpersist` once it is no longer needed; a transposed view
-  * shares its source's Dataset and is never released on its own. */
+  * and calls `unpersist` once it is no longer needed. */
 final case class DistMatrix(
     ds: Dataset[BlockRow],
     rows: Long,
     cols: Long,
     blockSize: Int,
     sparsity: Double,
-    transposed: Boolean = false,
 ) {
   /** Release the cached blocks (non-blocking). */
   def unpersist(): Unit = ds.unpersist()
@@ -90,7 +85,6 @@ object DistOps {
   }
 
   def toLocal(dm: DistMatrix): MatrixBlock = {
-    require(!dm.transposed, "collecting a transposed view is unsupported; transpose locally")
     val blocks = dm.ds.collect().sortBy(_.rbi).map(_.block).toSeq
     LocalOps.rbind(blocks)
   }
@@ -133,7 +127,6 @@ object DistOps {
     * local sides are broadcast together, once, and only if there are any. */
   private def perBlock[T](main: DistMatrix, sides: Seq[BlockSide], enc: Encoder[T])(
       f: (Int, IndexedSeq[MatrixBlock]) => T): Dataset[T] = {
-    require(!main.transposed, "the main input of a per-block operator must not be a transposed view")
     val bs = main.blockSize
     val dist = sides.collect { case DistSide(dm) => dm.ds }
     val local = sides.collect { case LocalSide(b, _) => b }.toIndexedSeq
@@ -186,13 +179,11 @@ object DistOps {
     mapBlocks(a, Nil, a.cols, 1.0)((_, b) => LocalOps.binaryScalarLeft(op, s, b(0)))
 
   /** X %*% W with a broadcast local rhs. */
-  def matmulDistLocal(a: DistMatrix, w: MatrixBlock): DistMatrix = {
-    require(!a.transposed, "transposed lhs requires matmulTransposeLeft")
+  def matmulDistLocal(a: DistMatrix, w: MatrixBlock): DistMatrix =
     mapBlocks(a, Seq(LocalSide(w, rowAligned = false)), w.cols, 1.0)((_, b) => LocalOps.matmul(b(0), b(1)))
-  }
 
-  /** t(X) %*% Z for a transposed view X and row-aligned Z (dist or local):
-    * per-block partial products reduced at the driver. */
+  /** t(X) %*% Z for row-aligned Z (dist or local), in one pass over X's
+    * row blocks: per-block partial products reduced at the driver. */
   def matmulTransposeLeft(x: DistMatrix, z: Either[DistMatrix, MatrixBlock]): MatrixBlock =
     reduceBlocks(x, Seq(z.fold[BlockSide](DistSide(_), LocalSide(_, rowAligned = true))),
       x.cols.toInt, z.fold(_.cols.toInt, _.cols), sumCombine)(
@@ -207,6 +198,24 @@ object DistOps {
       val sub = MatrixBlock.tabulate(lv.rows, b(0).rows)((i, j) => lv.get(i, off + j))
       LocalOps.matmul(sub, b(0))
     }
+  }
+
+  /** t(X) with t(X)'s own row blocking, SystemML's reblocking transpose
+    * `r'`: each block of X is transposed and cut along the row blocks of
+    * t(X); one shuffle brings the pieces of a block of t(X) together, side
+    * by side in the order of X's blocks, in X's block format. */
+  def transpose(dm: DistMatrix): DistMatrix = {
+    val bs = dm.blockSize
+    val pieces = dm.ds.flatMap { br =>
+      val t = LocalOps.transpose(br.block)
+      (0 until t.rows by bs).map(from => (br.rbi, BlockRow(from / bs, LocalOps.rowSlice(t, from, math.min(t.rows, from + bs)))))
+    }(tupEnc)
+    val blocks = pieces.groupByKey(_._2.rbi)(Encoders.scalaInt).mapGroups { (rbi, it) =>
+      val sorted = it.toSeq.sortBy(_._1).map(_._2)
+      val b = LocalOps.transpose(LocalOps.rbind(sorted.map(p => LocalOps.transpose(p.block))))
+      BlockRow(rbi, if (sorted.head.sparse) b.toSparse else b)
+    }(blockRowEnc)
+    DistMatrix(blocks, dm.cols, dm.rows, bs, dm.sparsity)
   }
 
   def fullAgg(f: AggFunc, a: DistMatrix): MatrixBlock =

@@ -333,6 +333,13 @@ class CodegenSpec extends SparkSpec {
       Seq(v.t %*% x.t)
     }
   }
+  test("abs(t(U %*% t(U))) %*% y with U 40x3 equals Base (an Outer entry without opening matmult)") {
+    TestLA.modesAgree() { implicit ctx =>
+      val u = ctx.bindLocal("U", dense(40, 3, 108))
+      val y = ctx.bindLocal("y", dense(40, 1, 109))
+      Seq((u %*% u.t).t.abs %*% y)
+    }
+  }
 
   // ---- an Outer operator needs an input of the outer product's size -----
   // Its skeleton iterates the cells of that input (the driver X); without

@@ -148,6 +148,18 @@ class DistSpec extends SparkSpec {
       assert(MatrixBlock.maxAbsDiff(got, expect) < 1e-9)
     }
   }
+  test("distributed transpose reblocks t(X) (dense, sparse, partial blocks both ways)") {
+    for (m <- Seq(MatrixBlock.rand(97, 40, 1.0, 32), MatrixBlock.rand(97, 40, 0.1, 33))) {
+      withDist(DistOps.fromLocal(spark, m, 16)) { dm =>
+        val t = DistOps.transpose(dm)
+        assert((t.rows, t.cols, t.blockSize) == ((40L, 97L, 16)))
+        val blocks = t.ds.collect().sortBy(_.rbi)
+        assert(blocks.map(b => (b.rbi, b.rows, b.cols)).toSeq == Seq((0, 16, 97), (1, 16, 97), (2, 8, 97)))
+        assert(blocks.forall(_.sparse == m.isSparseFormat))
+        assert(MatrixBlock.maxAbsDiff(DistOps.toLocal(t), LocalOps.transpose(m)) == 0.0)
+      }
+    }
+  }
   test("distributed aggregations (full/col/row, sum/min/max)") {
     withDist(dist(xDense)) { a =>
       for (f <- Seq(SumAgg, MinAgg, MaxAgg)) {
@@ -238,6 +250,70 @@ class DistSpec extends SparkSpec {
     }
     got.zip(expect).foreach { case (g, e) => assert(MatrixBlock.maxAbsDiff(g, e) < 1e-8) }
   }
+
+  /** `build` over X in every mode, X distributed (block 16, a 2 KB
+    * budget, so t(X) stays distributed), against Base over X local. */
+  private def transposeConsumer(build: (ExecContext, MX) => MX): Unit =
+    for (x0 <- Seq(xDense, xSparse)) withDist(DistOps.fromLocal(spark, x0, 16)) { dm =>
+      val lCtx = new ExecContext(BaseMode)
+      val expect = build(lCtx, lCtx.bindLocal("X", x0)).eval().toLocal
+      for (mode <- TestLA.allModes) {
+        val ctx = new ExecContext(mode, CostConfig(localMemBudget = 2048, distLatencyS = 0.0), Some(spark), 16)
+        val got = build(ctx, ctx.bindDist("X", dm)).eval().toLocal
+        assert(got.rows == expect.rows && got.cols == expect.cols, mode.label)
+        assert(MatrixBlock.maxAbsDiff(got, expect) < 1e-9, s"mode=${mode.label} dense=${!x0.isSparseFormat}")
+      }
+    }
+
+  test("abs(t(X)) over distributed X equals local (all modes)") {
+    transposeConsumer((_, x) => x.t.abs)
+  }
+  test("t(X) max v with v 12x1 over distributed X equals local (all modes)") {
+    transposeConsumer((ctx, x) => x.t max ctx.bindLocal("v", MatrixBlock.rand(12, 1, 1.0, 26, min = -1, max = 1)))
+  }
+  test("t(X) as a root over distributed X equals local (all modes)") {
+    transposeConsumer((_, x) => x.t)
+  }
+  test("V %*% t(X) with V 5x12 local over distributed X equals local (all modes)") {
+    transposeConsumer((ctx, x) => ctx.bindLocal("V", MatrixBlock.rand(5, 12, 1.0, 27, min = -1, max = 1)) %*% x.t)
+  }
+  test("t(X) %*% y and t(X) %*% Z under Base read distributed X in place, in one pass") {
+    val zL = MatrixBlock.rand(100, 3, 1.0, 28, min = -1, max = 1)
+    val yL = MatrixBlock.rand(100, 1, 1.0, 29, min = -1, max = 1)
+    withDist(dist(xDense)) { dm =>
+      withDist(dist(zL)) { dz =>
+        DistOps.toLocal(dm) // the reblock's shuffle, before anything is observed
+        val ctx = distCtx(BaseMode)
+        implicit val c: ExecContext = ctx
+        val x = ctx.bindDist("X", dm)
+        for ((z, zLocal) <- Seq((ctx.bindLocal("y", yL), yL), (ctx.bindDist("Z", dz), zL))) {
+          val xtz = x.t %*% z
+          val plan = ctx.compilePlan(Seq(xtz.hop))
+          assert(!plan.ops.exists { case PBasic(_: TransposeHop, _) => true; case _ => false }, plan)
+          assert(plan.toString.contains(s"basic ${xtz.hop} inputs=${x.hop},${z.hop}"), plan)
+          val (got, seen) = observe(xtz.eval().toLocal)
+          assert(MatrixBlock.maxAbsDiff(got, LocalOps.matmul(LocalOps.transpose(xDense), zLocal)) < 1e-9)
+          if (zLocal eq yL) assert(seen.shuffleBytes == 0, "t(X) %*% y over cached X must not shuffle")
+        }
+      }
+    }
+  }
+
+  test("t(Y) %*% y with a local leaf Y above the budget equals local (all modes)") {
+    // the plan reads Y in place, as if distributed; the executor gets Y's local block
+    val yBig = MatrixBlock.rand(100, 12, 1.0, 30, min = -1, max = 1)
+    val yL = MatrixBlock.rand(100, 1, 1.0, 31, min = -1, max = 1)
+    val expect = LocalOps.matmul(LocalOps.transpose(yBig), yL)
+    for (mode <- TestLA.allModes) {
+      val ctx = distCtx(mode)
+      implicit val c: ExecContext = ctx
+      val big = ctx.bindLocal("Y", yBig)
+      assert(CostModel.isDistributedHop(big.hop, ctx.cfg))
+      val got = (big.t %*% ctx.bindLocal("y", yL)).eval().toLocal
+      assert(MatrixBlock.maxAbsDiff(got, expect) < 1e-9, mode.label)
+    }
+  }
+
   test("distributed plans actually use distributed fused operators") {
     val dCtx = distCtx()
     implicit val c: ExecContext = dCtx
