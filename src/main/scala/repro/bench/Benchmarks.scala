@@ -9,8 +9,8 @@ import repro.runtime._
 
 /** Benchmark harnesses reproducing the paper's evaluation tables (3-6).
   *
-  * Scales are reduced vs the paper (single `local[*]` node, single-threaded
-  * kernels); EXPERIMENTS.md records the paper's numbers next to ours.
+  * Scales are reduced vs the paper (single `local[*]` node); EXPERIMENTS.md
+  * records the paper's numbers next to ours.
   * Each harness prints the same row structure the paper reports.
   */
 object Benchmarks {

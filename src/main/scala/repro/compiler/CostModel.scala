@@ -60,9 +60,10 @@ object CostModel {
     case _               => 0.0
   }
 
-  /** Does this hop's output live distributed (mirrors the executor)? */
+  /** Does this hop's output live distributed (mirrors the executor)? A
+    * leaf lives where it was bound: the executor never distributes one. */
   def isDistributedHop(h: Hop, cfg: CostConfig): Boolean = h match {
-    case l: LeafHop => l.forceDistributed || sizeBytes(h) > cfg.localMemBudget.toDouble
+    case l: LeafHop => l.forceDistributed
     case _          => sizeBytes(h) > cfg.localMemBudget.toDouble
   }
 

@@ -253,7 +253,10 @@ object Basic {
     case m: MatMulHop if !(op.inputs.head eq m.left) => inputs.head match {
       // t(Y) %*% Z that the plan reads Y for (PBasic.of): one pass over Y's row blocks
       case DistData(y) => LocalData(DistOps.matmulTransposeLeft(y, inputs(1).either))
-      case LocalData(y) => executeMatMul(LocalData(LocalOps.transpose(y)), inputs(1))
+      case LocalData(y) => inputs(1) match {
+        case LocalData(z) => LocalData(LocalOps.matmulTransposeLeft(y, z))
+        case DistData(_)  => executeMatMul(LocalData(LocalOps.transpose(y)), inputs(1))
+      }
     }
     case _: MatMulHop => executeMatMul(inputs(0), inputs(1))
     case _: TransposeHop => inputs.head match {

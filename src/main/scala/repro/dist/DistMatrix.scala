@@ -187,7 +187,7 @@ object DistOps {
   def matmulTransposeLeft(x: DistMatrix, z: Either[DistMatrix, MatrixBlock]): MatrixBlock =
     reduceBlocks(x, Seq(z.fold[BlockSide](DistSide(_), LocalSide(_, rowAligned = true))),
       x.cols.toInt, z.fold(_.cols.toInt, _.cols), sumCombine)(
-      (_, b) => LocalOps.matmul(LocalOps.transpose(b(0)), b(1)))
+      (_, b) => LocalOps.matmulTransposeLeft(b(0), b(1)))
 
   /** Broadcast-left matmul: small local L (k x n) times row-blocked R
     * (n x m): per-block partial products of L's column slice, reduced. */

@@ -131,60 +131,99 @@ object LocalOps {
       new DenseBlock(a.rows, a.cols, out)
   }
 
-  /** Matrix multiply a (n x k) times b (k x m). Dense output. */
+  /** Matrix multiply a (n x k) times b (k x m), over row ranges of a.
+    * Dense output. */
   def matmul(a: MatrixBlock, b: MatrixBlock): DenseBlock = {
     require(a.cols == b.rows, s"matmul dims: ${a.rows}x${a.cols} %*% ${b.rows}x${b.cols}")
-    val n = a.rows; val m = b.cols
+    val n = a.rows; val k = a.cols; val m = b.cols
     val out = new Array[Double](n * m)
     (a, b) match {
       case (ad: DenseBlock, bd: DenseBlock) =>
         val av = ad.values; val bv = bd.values
-        var i = 0
-        while (i < n) {
-          var j = 0
-          while (j < a.cols) {
-            val aij = av(i * a.cols + j)
-            if (aij != 0.0) {
-              val boff = j * m; val coff = i * m
-              var k = 0
-              while (k < m) { out(coff + k) += aij * bv(boff + k); k += 1 }
+        RowRanges.foreach(n, ad.numCells * m) { (rl, ru) =>
+          var i = rl
+          while (i < ru) {
+            var j = 0
+            while (j < k) {
+              val aij = av(i * k + j)
+              if (aij != 0.0) {
+                val boff = j * m; val coff = i * m
+                var c = 0
+                while (c < m) { out(coff + c) += aij * bv(boff + c); c += 1 }
+              }
+              j += 1
             }
-            j += 1
+            i += 1
           }
-          i += 1
         }
       case (as: SparseBlock, _) =>
-        val bd = b.toDense.values
-        var i = 0
-        while (i < n) {
-          var p = as.rowPtr(i)
-          val coff = i * m
-          while (p < as.rowPtr(i + 1)) {
-            val aij = as.vals(p); val boff = as.colIdx(p) * m
-            var k = 0
-            while (k < m) { out(coff + k) += aij * bd(boff + k); k += 1 }
-            p += 1
+        val bv = b.toDense.values
+        RowRanges.foreach(n, as.nnz * m) { (rl, ru) =>
+          var i = rl
+          while (i < ru) {
+            var p = as.rowPtr(i)
+            val coff = i * m
+            while (p < as.rowPtr(i + 1)) {
+              val aij = as.vals(p); val boff = as.colIdx(p) * m
+              var c = 0
+              while (c < m) { out(coff + c) += aij * bv(boff + c); c += 1 }
+              p += 1
+            }
+            i += 1
           }
-          i += 1
         }
       case (ad: DenseBlock, bs: SparseBlock) =>
         val av = ad.values
-        var i = 0
-        while (i < n) {
-          var j = 0
-          val coff = i * m
-          while (j < a.cols) {
-            val aij = av(i * a.cols + j)
-            if (aij != 0.0) {
-              var p = bs.rowPtr(j)
-              while (p < bs.rowPtr(j + 1)) { out(coff + bs.colIdx(p)) += aij * bs.vals(p); p += 1 }
+        RowRanges.foreach(n, n * bs.nnz) { (rl, ru) =>
+          var i = rl
+          while (i < ru) {
+            var j = 0
+            while (j < k) {
+              val aij = av(i * k + j)
+              if (aij != 0.0) {
+                var p = bs.rowPtr(j)
+                while (p < bs.rowPtr(j + 1)) { out(i * m + bs.colIdx(p)) += aij * bs.vals(p); p += 1 }
+              }
+              j += 1
             }
-            j += 1
+            i += 1
           }
-          i += 1
         }
     }
     new DenseBlock(n, m, out)
+  }
+
+  /** t(y) %*% z for y (n x k) and z (n x m), reading y's rows in place:
+    * out(j, :) += y(i, j) * z(i, :), one k x m partial per row range of y,
+    * added in range order. Dense output. */
+  def matmulTransposeLeft(y: MatrixBlock, z: MatrixBlock): DenseBlock = {
+    require(y.rows == z.rows, s"matmul dims: t(${y.rows}x${y.cols}) %*% ${z.rows}x${z.cols}")
+    val k = y.cols; val m = z.cols
+    val ys = y match { case s: SparseBlock => s; case _ => null }
+    val yv = if (ys == null) y.toDense.values else null
+    val zs = z match { case s: SparseBlock => s; case _ => null }
+    val zv = if (zs == null) z.toDense.values else null
+    /** out(j, :) += yij * z(i, :) */
+    def addRow(out: Array[Double], yij: Double, i: Int, j: Int): Unit =
+      if (zs == null) VectorPrims.vectMultAdd(zv, yij, out, i * m, j * m, m)
+      else {
+        val p = zs.rowPtr(i)
+        VectorPrims.vectMultAdd(zs.vals, yij, out, zs.colIdx, p, j * m, zs.rowPtr(i + 1) - p)
+      }
+    val work = (if (ys == null) y.numCells else ys.nnz) * m
+    new DenseBlock(k, m, RowRanges.fill(y.rows, work, k * m, disjoint = false) { (rl, ru, out) =>
+      var i = rl
+      while (i < ru) {
+        if (ys == null) {
+          var j = 0
+          while (j < k) { val yij = yv(i * k + j); if (yij != 0.0) addRow(out, yij, i, j); j += 1 }
+        } else {
+          var p = ys.rowPtr(i)
+          while (p < ys.rowPtr(i + 1)) { addRow(out, ys.vals(p), i, ys.colIdx(p)); p += 1 }
+        }
+        i += 1
+      }
+    })
   }
 
   def transpose(a: MatrixBlock): MatrixBlock = a match {

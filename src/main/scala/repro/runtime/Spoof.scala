@@ -16,11 +16,28 @@ import repro.runtime.Ops._
   * skeleton + shared [[VectorPrims]] keep the per-operator instruction
   * footprint small.
   *
+  * Each skeleton is multi-threaded, as in the paper: it runs its loop over
+  * row ranges of the main input ([[RowRanges]]), each range with the
+  * generated operator instance of its own thread (own ring buffers).
+  * Variants that write whole rows write disjoint rows of one output;
+  * aggregating variants keep one partial per range and combine the
+  * partials in range order.
+  *
   * Each skeleton executes one local [[MatrixBlock]]; the distributed
   * runtime invokes the same skeletons per row block through
-  * `DistOps.mapBlocks` / `reduceBlocks` and combines partial aggregates.
+  * `DistOps.mapBlocks` / `reduceBlocks` and combines partial aggregates;
+  * inside a Spark task a skeleton runs as one range.
   */
 object Spoof {
+  /** Work per main-input value a generated operator reads, for the
+    * split decision of [[RowRanges]]: the skeleton does not see the
+    * operator's inner loops. */
+  val ValueWork = 64L
+
+  /** Work of a skeleton over its main input: the values it reads. */
+  def work(main: MatrixBlock, sparseDriver: Boolean): Long =
+    (if (sparseDriver) main.nnz else main.numCells) * ValueWork
+
   /** Densify side inputs for O(1) access (stateless `get` over sparse
     * blocks would degrade to row scans; the paper uses stateful iterators). */
   def prepSides(inputs: IndexedSeq[MatrixBlock]): Array[MatrixBlock] = {
@@ -53,48 +70,57 @@ final class SpoofCellwise(
 
   def execute(inputs0: IndexedSeq[MatrixBlock]): MatrixBlock = {
     val inputs = Spoof.prepSides(inputs0)
-    val gx = exec.get
     inputs(0) match {
-      case s: SparseBlock if sparseSafe => executeSparse(gx, s, inputs)
-      case _ => executeGeneric(gx, inputs)
+      case s: SparseBlock if sparseSafe => executeSparse(s, inputs, Spoof.work(s, sparseDriver = true))
+      case m => executeGeneric(inputs, Spoof.work(m, sparseDriver = false))
     }
   }
 
-  private def executeSparse(gx: CellExec, s: SparseBlock, inputs: Array[MatrixBlock]): MatrixBlock = variant match {
+  private def executeSparse(s: SparseBlock, inputs: Array[MatrixBlock], work: Long): MatrixBlock = variant match {
     case CellNoAgg =>
       val vals = new Array[Double](s.vals.length)
-      var i = 0
-      while (i < s.rows) {
-        var p = s.rowPtr(i)
-        while (p < s.rowPtr(i + 1)) { vals(p) = gx.genexec(s.vals(p), inputs, i, s.colIdx(p)); p += 1 }
-        i += 1
+      RowRanges.foreach(s.rows, work) { (rl, ru) =>
+        val gx = exec.get
+        var i = rl
+        while (i < ru) {
+          var p = s.rowPtr(i)
+          while (p < s.rowPtr(i + 1)) { vals(p) = gx.genexec(s.vals(p), inputs, i, s.colIdx(p)); p += 1 }
+          i += 1
+        }
       }
       new SparseBlock(s.rows, s.cols, s.rowPtr, s.colIdx, vals)
     // pseudo-sparse-safe aggregation: min/max observe implicit zeros
     case CellRowAgg(f) =>
       val out = new Array[Double](s.rows)
       if (f != SumAgg) java.util.Arrays.fill(out, f.init)
-      var i = 0
-      while (i < s.rows) {
-        var q = s.rowPtr(i)
-        while (q < s.rowPtr(i + 1)) { out(i) = f(out(i), gx.genexec(s.vals(q), inputs, i, s.colIdx(q))); q += 1 }
-        if (f != SumAgg && s.rowPtr(i + 1) - s.rowPtr(i) < s.cols) out(i) = f(out(i), 0.0)
-        i += 1
+      RowRanges.foreach(s.rows, work) { (rl, ru) =>
+        val gx = exec.get
+        var i = rl
+        while (i < ru) {
+          var q = s.rowPtr(i)
+          while (q < s.rowPtr(i + 1)) { out(i) = f(out(i), gx.genexec(s.vals(q), inputs, i, s.colIdx(q))); q += 1 }
+          if (f != SumAgg && s.rowPtr(i + 1) - s.rowPtr(i) < s.cols) out(i) = f(out(i), 0.0)
+          i += 1
+        }
       }
       MatrixBlock.dense(s.rows, 1, out)
     case CellColAgg(f) =>
-      val out = new Array[Double](s.cols)
-      if (f != SumAgg) java.util.Arrays.fill(out, f.init)
-      var i = 0
-      while (i < s.rows) {
-        var q = s.rowPtr(i)
-        while (q < s.rowPtr(i + 1)) {
-          val cix = s.colIdx(q)
-          out(cix) = f(out(cix), gx.genexec(s.vals(q), inputs, i, cix))
-          q += 1
+      val out = RowRanges.combine(RowRanges.map(s.rows, work) { (rl, ru) =>
+        val gx = exec.get
+        val out = new Array[Double](s.cols)
+        if (f != SumAgg) java.util.Arrays.fill(out, f.init)
+        var i = rl
+        while (i < ru) {
+          var q = s.rowPtr(i)
+          while (q < s.rowPtr(i + 1)) {
+            val cix = s.colIdx(q)
+            out(cix) = f(out(cix), gx.genexec(s.vals(q), inputs, i, cix))
+            q += 1
+          }
+          i += 1
         }
-        i += 1
-      }
+        out
+      }, _ => f)
       if (f != SumAgg && s.nnz < s.numCells) {
         var c = 0
         while (c < s.cols) { out(c) = f(out(c), 0.0); c += 1 }
@@ -102,44 +128,53 @@ final class SpoofCellwise(
       MatrixBlock.dense(1, s.cols, out)
   }
 
-  private def executeGeneric(gx: CellExec, inputs: Array[MatrixBlock]): MatrixBlock = {
+  private def executeGeneric(inputs: Array[MatrixBlock], work: Long): MatrixBlock = {
     val main = inputs(0).toDense
     val mv = main.values
     val n = main.rows; val m = main.cols
     variant match {
       case CellNoAgg =>
         val out = new Array[Double](n * m)
-        var i = 0
-        while (i < n) {
-          var j = 0
-          val off = i * m
-          while (j < m) { out(off + j) = gx.genexec(mv(off + j), inputs, i, j); j += 1 }
-          i += 1
+        RowRanges.foreach(n, work) { (rl, ru) =>
+          val gx = exec.get
+          var i = rl
+          while (i < ru) {
+            var j = 0
+            val off = i * m
+            while (j < m) { out(off + j) = gx.genexec(mv(off + j), inputs, i, j); j += 1 }
+            i += 1
+          }
         }
         new DenseBlock(n, m, out)
       case CellRowAgg(f) =>
         val out = new Array[Double](n)
-        var i = 0
-        while (i < n) {
-          var acc = f.init
-          var j = 0
-          val off = i * m
-          while (j < m) { acc = f(acc, gx.genexec(mv(off + j), inputs, i, j)); j += 1 }
-          out(i) = acc
-          i += 1
+        RowRanges.foreach(n, work) { (rl, ru) =>
+          val gx = exec.get
+          var i = rl
+          while (i < ru) {
+            var acc = f.init
+            var j = 0
+            val off = i * m
+            while (j < m) { acc = f(acc, gx.genexec(mv(off + j), inputs, i, j)); j += 1 }
+            out(i) = acc
+            i += 1
+          }
         }
         MatrixBlock.dense(n, 1, out)
       case CellColAgg(f) =>
-        val out = new Array[Double](m)
-        if (f != SumAgg) java.util.Arrays.fill(out, f.init)
-        var i = 0
-        while (i < n) {
-          var j = 0
-          val off = i * m
-          while (j < m) { out(j) = f(out(j), gx.genexec(mv(off + j), inputs, i, j)); j += 1 }
-          i += 1
-        }
-        MatrixBlock.dense(1, m, out)
+        MatrixBlock.dense(1, m, RowRanges.combine(RowRanges.map(n, work) { (rl, ru) =>
+          val gx = exec.get
+          val out = new Array[Double](m)
+          if (f != SumAgg) java.util.Arrays.fill(out, f.init)
+          var i = rl
+          while (i < ru) {
+            var j = 0
+            val off = i * m
+            while (j < m) { out(j) = f(out(j), gx.genexec(mv(off + j), inputs, i, j)); j += 1 }
+            i += 1
+          }
+          out
+        }, _ => f))
     }
   }
 }
@@ -148,7 +183,8 @@ final class SpoofCellwise(
   * them over shared inputs computed in one pass over the main input
   * (cells, non-zeros when sparse-safe, or, for a compressed main input
   * with scalar side inputs and sums only, dictionary entries); output is
-  * 1 x k. */
+  * 1 x k. Cells and non-zeros are read over row ranges, one 1 x k partial
+  * per range. */
 final class SpoofMultiAgg(
     val funcs: IndexedSeq[AggFunc],
     val sparseSafe: Boolean,
@@ -157,14 +193,21 @@ final class SpoofMultiAgg(
 
   def execute(inputs0: IndexedSeq[MatrixBlock]): MatrixBlock = {
     val inputs = Spoof.prepSides(inputs0)
-    val gxs = execs.map(_.get).toArray
     val fns = funcs.toArray
-    val acc = fns.map(_.init)
-    inputs(0) match {
+    /** One partial over rows [rl, ru), from `add(acc, gxs)`. */
+    def partials(n: Int, work: Long)(add: (Int, Int, Array[Double], Array[CellExec]) => Unit): Array[Double] =
+      RowRanges.combine(RowRanges.map(n, work) { (rl, ru) =>
+        val acc = fns.map(_.init)
+        add(rl, ru, acc, execs.map(_.get).toArray)
+        acc
+      }, fns)
+    val acc = inputs(0) match {
       case c: CompressedBlock if inputs.iterator.drop(1).forall(_.numCells == 1) && fns.forall(_ == SumAgg) =>
         // CLA: genexec once per distinct value of each column, weighted by
         // its count (paper §5.2); scalar side inputs, such as literals, are
         // the same for every cell
+        val gxs = execs.map(_.get).toArray
+        val acc = fns.map(_.init)
         var j = 0
         while (j < c.cols) {
           val g = c.groups(j)
@@ -176,35 +219,41 @@ final class SpoofMultiAgg(
           }
           j += 1
         }
+        acc
       case s: SparseBlock if sparseSafe =>
-        var i = 0
-        while (i < s.rows) {
-          var q = s.rowPtr(i)
-          while (q < s.rowPtr(i + 1)) {
-            var k = 0
-            while (k < acc.length) { acc(k) = fns(k)(acc(k), gxs(k).genexec(s.vals(q), inputs, i, s.colIdx(q))); k += 1 }
-            q += 1
+        val acc = partials(s.rows, Spoof.work(s, sparseDriver = true)) { (rl, ru, acc, gxs) =>
+          var i = rl
+          while (i < ru) {
+            var q = s.rowPtr(i)
+            while (q < s.rowPtr(i + 1)) {
+              var k = 0
+              while (k < acc.length) { acc(k) = fns(k)(acc(k), gxs(k).genexec(s.vals(q), inputs, i, s.colIdx(q))); k += 1 }
+              q += 1
+            }
+            i += 1
           }
-          i += 1
         }
         if (s.nnz < s.numCells) {
           var k = 0
           while (k < acc.length) { if (fns(k) != SumAgg) acc(k) = fns(k)(acc(k), 0.0); k += 1 }
         }
+        acc
       case m0 =>
         val d = m0.toDense
         val dv = d.values
-        var i = 0
-        while (i < d.rows) {
-          var j = 0
-          val off = i * d.cols
-          while (j < d.cols) {
-            val a = dv(off + j)
-            var k = 0
-            while (k < acc.length) { acc(k) = fns(k)(acc(k), gxs(k).genexec(a, inputs, i, j)); k += 1 }
-            j += 1
+        partials(d.rows, Spoof.work(d, sparseDriver = false) * fns.length) { (rl, ru, acc, gxs) =>
+          var i = rl
+          while (i < ru) {
+            var j = 0
+            val off = i * d.cols
+            while (j < d.cols) {
+              val a = dv(off + j)
+              var k = 0
+              while (k < acc.length) { acc(k) = fns(k)(acc(k), gxs(k).genexec(a, inputs, i, j)); k += 1 }
+              j += 1
+            }
+            i += 1
           }
-          i += 1
         }
     }
     MatrixBlock.dense(1, acc.length, acc)
@@ -216,7 +265,9 @@ final class SpoofMultiAgg(
   * row as its non-zeros (paper §2.2); a compressed main input is
   * decompressed once per call. The generated code writes or accumulates
   * each row's result into the output, whose shape the variant and the
-  * CPlan root's dimensions (`rootRows` x `rootCols`) give. It reads the
+  * CPlan root's dimensions (`rootRows` x `rootCols`) give: each row range
+  * writes its rows of one shared output (NoAgg, RowAgg) or accumulates
+  * into its own partial (ColAgg, FullAgg, ColAggT). It reads the
   * `wholeInputs` whole, so a sparse one is densified once per call; it
   * reads every other side input by row. */
 final class SpoofRowwise(
@@ -238,7 +289,6 @@ final class SpoofRowwise(
       }
       k += 1
     }
-    val gx = exec.get
     val n = inputs(0).rows
     val m = inputs(0).cols
     val (outRows, outCols) = variant match {
@@ -248,19 +298,19 @@ final class SpoofRowwise(
       case RowFullAgg => (1, 1)
       case RowColAggT => (rootRows, rootCols)
     }
-    val c = new Array[Double](outRows * outCols)
-    inputs(0) match {
-      case s: SparseBlock =>
-        var i = 0
-        while (i < n) {
-          val apos = s.rowPtr(i)
-          gx.genexec(s.vals, s.colIdx, apos, s.rowPtr(i + 1) - apos, inputs, c, i, m)
-          i += 1
-        }
-      case d =>
-        val a = d.toDense.values
-        var i = 0
-        while (i < n) { gx.genexec(a, i * m, inputs, c, i, m); i += 1 }
+    val disjoint = variant == RowNoAgg || variant == RowRowAgg
+    val sparse = inputs(0) match { case s: SparseBlock => s; case _ => null }
+    val dense = if (sparse == null) inputs(0).toDense.values else null
+    val c = RowRanges.fill(n, Spoof.work(inputs(0), sparse != null), outRows * outCols, disjoint) { (rl, ru, c) =>
+      val gx = exec.get
+      var i = rl
+      while (i < ru) {
+        if (sparse != null) {
+          val apos = sparse.rowPtr(i)
+          gx.genexec(sparse.vals, sparse.colIdx, apos, sparse.rowPtr(i + 1) - apos, inputs, c, i, m)
+        } else gx.genexec(dense, i * m, inputs, c, i, m)
+        i += 1
+      }
     }
     new DenseBlock(outRows, outCols, c)
   }
@@ -268,7 +318,9 @@ final class SpoofRowwise(
 
 /** Outer-product template skeleton: iterates the cells of the driver X,
   * only its non-zeros when X is sparse (every Outer CPlan is sparse-safe
-  * w.r.t. X), with row access to the factors U and V (paper Fig. 3(a)). */
+  * w.r.t. X), with row access to the factors U and V (paper Fig. 3(a)).
+  * Each row range of X writes its rows of one shared output (NoAgg,
+  * RightMM) or accumulates into its own partial (FullAgg, LeftMM). */
 final class SpoofOuterProduct(
     val variant: OuterVariant,
     /** Index of the closing matmult's other operand W in the inputs (MM variants). */
@@ -278,71 +330,63 @@ final class SpoofOuterProduct(
 
   def execute(inputs0: IndexedSeq[MatrixBlock]): MatrixBlock = {
     val inputs: Array[MatrixBlock] = inputs0.toArray
-    val gx = exec.get
     val x = inputs(0)
     val u = inputs(1).toDense
     val v = inputs(2).toDense
     val w = if (wIdx >= 0) inputs(wIdx).toDense else null
+    val sparse = x match { case s: SparseBlock => s; case _ => null }
+    val dense = if (sparse == null) x.toDense else null
+    val work = Spoof.work(x, sparse != null)
 
     // sparse driver + NO_AGG: the sparse-safe chain keeps X's pattern —
     // never allocate the dense n x m output
-    x match {
-      case s: SparseBlock if variant == OuterNoAgg =>
-        val vals = new Array[Double](s.vals.length)
-        var i = 0
-        while (i < s.rows) {
-          var p = s.rowPtr(i)
-          while (p < s.rowPtr(i + 1)) {
-            vals(p) = gx.genexec(s.vals(p), u.values, v.values, inputs, i, s.colIdx(p))
+    if (sparse != null && variant == OuterNoAgg) {
+      val vals = new Array[Double](sparse.vals.length)
+      RowRanges.foreach(x.rows, work) { (rl, ru) =>
+        val gx = exec.get
+        var i = rl
+        while (i < ru) {
+          var p = sparse.rowPtr(i)
+          while (p < sparse.rowPtr(i + 1)) {
+            vals(p) = gx.genexec(sparse.vals(p), u.values, v.values, inputs, i, sparse.colIdx(p))
             p += 1
           }
           i += 1
         }
-        return new SparseBlock(s.rows, s.cols, s.rowPtr, s.colIdx, vals)
-      case _ =>
+      }
+      return new SparseBlock(sparse.rows, sparse.cols, sparse.rowPtr, sparse.colIdx, vals)
     }
 
-    var out: Array[Double] = null
-    var outRows = 0; var outCols = 0
-    var acc = 0.0
-    variant match {
-      case OuterFullAgg =>
-      case OuterRightMM => outRows = x.rows; outCols = w.cols; out = new Array[Double](outRows * outCols)
-      case OuterLeftMM  => outRows = x.cols; outCols = w.cols; out = new Array[Double](outRows * outCols)
-      case OuterNoAgg   => outRows = x.rows; outCols = x.cols; out = new Array[Double](outRows * outCols)
+    val (outRows, outCols) = variant match {
+      case OuterFullAgg => (1, 1)
+      case OuterRightMM => (x.rows, w.cols)
+      case OuterLeftMM  => (x.cols, w.cols)
+      case OuterNoAgg   => (x.rows, x.cols)
     }
-
-    @inline def process(i: Int, j: Int, xij: Double): Unit = {
-      val res = gx.genexec(xij, u.values, v.values, inputs, i, j)
-      variant match {
-        case OuterFullAgg => acc += res
-        case OuterRightMM => VectorPrims.vectMultAdd(w.values, res, out, j * w.cols, i * outCols, w.cols)
-        case OuterLeftMM  => VectorPrims.vectMultAdd(w.values, res, out, i * w.cols, j * outCols, w.cols)
-        case OuterNoAgg   => out(i * outCols + j) = res
+    val disjoint = variant == OuterRightMM || variant == OuterNoAgg
+    val out = RowRanges.fill(x.rows, work, outRows * outCols, disjoint) { (rl, ru, out) =>
+      val gx = exec.get
+      @inline def process(i: Int, j: Int, xij: Double): Unit = {
+        val res = gx.genexec(xij, u.values, v.values, inputs, i, j)
+        variant match {
+          case OuterFullAgg => out(0) += res
+          case OuterRightMM => VectorPrims.vectMultAdd(w.values, res, out, j * w.cols, i * outCols, w.cols)
+          case OuterLeftMM  => VectorPrims.vectMultAdd(w.values, res, out, i * w.cols, j * outCols, w.cols)
+          case OuterNoAgg   => out(i * outCols + j) = res
+        }
+      }
+      var i = rl
+      while (i < ru) {
+        if (sparse != null) {
+          var p = sparse.rowPtr(i)
+          while (p < sparse.rowPtr(i + 1)) { process(i, sparse.colIdx(p), sparse.vals(p)); p += 1 }
+        } else {
+          var j = 0
+          while (j < dense.cols) { process(i, j, dense.values(i * dense.cols + j)); j += 1 }
+        }
+        i += 1
       }
     }
-
-    x match {
-      case s: SparseBlock =>
-        var i = 0
-        while (i < s.rows) {
-          var p = s.rowPtr(i)
-          while (p < s.rowPtr(i + 1)) { process(i, s.colIdx(p), s.vals(p)); p += 1 }
-          i += 1
-        }
-      case d =>
-        val dd = d.toDense
-        var i = 0
-        while (i < dd.rows) {
-          var j = 0
-          while (j < dd.cols) { process(i, j, dd.values(i * dd.cols + j)); j += 1 }
-          i += 1
-        }
-    }
-
-    variant match {
-      case OuterFullAgg => MatrixBlock.dense(1, 1, Array(acc))
-      case _            => new DenseBlock(outRows, outCols, out)
-    }
+    new DenseBlock(outRows, outCols, out)
   }
 }

@@ -70,7 +70,7 @@ class CostModelSpec extends SparkSpec {
 
   test("constraint Z: infinite cost for wide distributed Row operators") {
     val smallCfg = cfg.copy(localMemBudget = 1L << 16, blockCols = 64)
-    val x = new LeafHop("X", 100000, 300, 1.0) // wide + distributed
+    val x = new LeafHop("X", 100000, 300, 1.0, forceDistributed = true) // wide + distributed
     val v = new LeafHop("v", 300, 1, 1.0)
     val mm = new MatMulHop(x, v)
     val cplan = CPlan.construct(mm, RowTpl, Set(mm.id), IndexedSeq(x, v)).get
@@ -93,7 +93,7 @@ class CostModelSpec extends SparkSpec {
 
   test("constraint Z reads the bound main input of a Row operator, not the first one found") {
     val smallCfg = cfg.copy(localMemBudget = 1L << 16, blockCols = 64)
-    val x = new LeafHop("X", 100000, 300, 1.0) // wide + distributed
+    val x = new LeafHop("X", 100000, 300, 1.0, forceDistributed = true) // wide + distributed
     val v = new LeafHop("v", 100000, 4, 1.0)
     val w = new LeafHop("W", 300, 4, 1.0)
     assert(CostModel.opCost(PFused(rowOverX(x, v, w)), smallCfg).isPosInfinity)

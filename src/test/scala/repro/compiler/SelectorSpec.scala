@@ -238,8 +238,8 @@ class SelectorSpec extends SparkSpec {
     val cfg = CostConfig(localMemBudget = 1L << 20, blockCols = 64)
     val c = new ExecContext(GenMode(CostBased), cfg)
     implicit val cc: ExecContext = c
-    // 2000 x 300 dense = 4.8 MB > 1 MB budget -> distributed; 300 > 64 cols
-    val x = c.bindLocal("X", dense(2000, 300))
+    // a distributed leaf 2000 x 300 (4.8 MB > 1 MB budget); 300 > 64 cols
+    val x = new MX(new LeafHop("X", 2000, 300, 1.0, forceDistributed = true))
     val v = c.bindLocal("v", dense(300, 1, 12))
     val roots = Seq((x %*% v).hop)
     val memo = Explorer.explore(roots)

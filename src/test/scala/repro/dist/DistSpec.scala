@@ -300,7 +300,7 @@ class DistSpec extends SparkSpec {
   }
 
   test("t(Y) %*% y with a local leaf Y above the budget equals local (all modes)") {
-    // the plan reads Y in place, as if distributed; the executor gets Y's local block
+    // a leaf lives where it was bound: Y is local, above the budget or not
     val yBig = MatrixBlock.rand(100, 12, 1.0, 30, min = -1, max = 1)
     val yL = MatrixBlock.rand(100, 1, 1.0, 31, min = -1, max = 1)
     val expect = LocalOps.matmul(LocalOps.transpose(yBig), yL)
@@ -308,7 +308,7 @@ class DistSpec extends SparkSpec {
       val ctx = distCtx(mode)
       implicit val c: ExecContext = ctx
       val big = ctx.bindLocal("Y", yBig)
-      assert(CostModel.isDistributedHop(big.hop, ctx.cfg))
+      assert(!CostModel.isDistributedHop(big.hop, ctx.cfg))
       val got = (big.t %*% ctx.bindLocal("y", yL)).eval().toLocal
       assert(MatrixBlock.maxAbsDiff(got, expect) < 1e-9, mode.label)
     }
