@@ -56,7 +56,7 @@ final case class ExecPlan(ops: Seq[POp]) {
   def fusedOps: Seq[POp] = ops.filterNot(_.isInstanceOf[PBasic])
   override def toString: String = ops.map {
     case PBasic(h, in) => s"  basic $h inputs=${in.mkString(",")}"
-    case PFused(c)    => s"  fused[${c.tpe}] roots=${c.roots.mkString(",")} covered={${c.covered.toSeq.sorted.mkString(",")}} inputs=${c.inputs.mkString(",")}"
+    case PFused(c)    => s"  fused[${c.tpe}] roots=${c.roots.mkString(",")} covered={${c.covered.toSeq.sorted.mkString(",")}} inputs=${c.inputs.mkString(",")} src=${c.sourceHash}"
     case PHandCoded(k, r, _, in) => s"  hand[${k.name}] root=$r inputs=${in.mkString(",")}"
   }.mkString("ExecPlan(\n", "\n", "\n)")
 }
@@ -106,10 +106,11 @@ case object OuterFullAgg extends OuterVariant // sum over chain
 case object OuterRightMM extends OuterVariant // chain %*% W
 case object OuterLeftMM  extends OuterVariant // t(chain) %*% W
 
-/** Backend-independent code generation plan for one fused operator
-  * (paper §2.2): covered sub-DAG plus resolved data binding — ordered
-  * inputs with the main (template-bound) input first, the output variant,
-  * and sparse-safety of the chain w.r.t. the main input. Built once, when
+/** Code generation plan of one fused operator (paper §2.2): covered
+  * sub-DAG plus resolved data binding — ordered inputs with the main
+  * (template-bound) input first, the output variant, sparse-safety of the
+  * chain w.r.t. the main input — and what [[Codegen.emit]] generated for
+  * it, the only record of what the operator reads. Built once, when
   * [[PlanExtractor]] extracts the operator; the cost model, code
   * generation and the distributed runtime all read it, none re-derives it.
   * `sparseSafe` alone decides whether a skeleton iterates only the
@@ -129,26 +130,14 @@ final case class CPlan(
     chainRoot: Hop,                  // cell-wise part under the aggregate or closing matmult (MAgg: first root's)
     wIdx: Int,                       // input index of an Outer closing matmult's W, else -1
     opening: Option[MatMulHop] = None, // an Outer chain's opening U %*% t(V)
+    sources: IndexedSeq[String] = IndexedSeq.empty, // generated genexec class source(s), one per MAgg root
+    byRow: IndexedSeq[Boolean] = IndexedSeq.empty,  // per input: read by row of the main input, else whole
+    scattersMainRow: Boolean = false, // Row: the sparse-row variant scatters the main row into a dense one
 ) {
   def root: Hop = roots.head
 
-  /** Does a Row operator scatter a sparse main row into a dense buffer?
-    * A matmult with the row on its left, a row, column or full sum of the
-    * row, and the x-side of t(X) %*% Z read its non-zeros in place
-    * ([[Codegen]]'s sparse-row variant); any other consumer scatters it. */
-  def scattersMainRow: Boolean = tpe == RowTpl && {
-    val main = inputs.head
-    val xSide = if (rowVariant.contains(RowColAggT)) Some(root.inputs.head) else None
-    CPlan.coveredHops(root, covered).exists { h =>
-      val reads = h.inputs.count(_ eq main)
-      reads > 0 && (reads > 1 || (h match {
-        case m: MatMulHop    => !(m.left eq main)
-        case a: AggHop       => a.func != SumAgg
-        case t: TransposeHop => !xSide.exists(_ eq t)
-        case _               => true
-      }))
-    }
-  }
+  /** A short hash of the generated sources: plan dumps show which code runs. */
+  def sourceHash: String = f"${scala.util.hashing.MurmurHash3.seqHash(sources)}%08x"
 }
 
 object CPlan {
@@ -179,16 +168,19 @@ object CPlan {
 
   /** Build the CPlan of the fused operator that [[PlanExtractor]] extracts
     * at `root`: the covered hops and its materialized inputs, in the order
-    * extraction found them. None if the template cannot bind the inputs:
-    * an Outer operator without opening matmult, sparse driver or bound W,
-    * or a Row operator whose hops its generated code cannot read per row
-    * ([[rowEmittable]]). A full aggregate is a one-root MAgg CPlan whether
-    * a Cell or an MAgg entry roots it. */
+    * extraction found them, and the operator's generated code. None if the
+    * template cannot bind the inputs (an Outer operator without opening
+    * matmult, sparse driver or bound W) or if [[Codegen.emit]] cannot
+    * generate correct code for it. A full aggregate is a one-root MAgg
+    * CPlan whether a Cell or an MAgg entry roots it. */
   private[compiler] def construct(root: Hop, tpe: TemplateType, covered: Set[Long],
-                                  inputs: IndexedSeq[Hop]): Option[CPlan] = tpe match {
-    case CellTpl | MAggTpl => Some(constructCell(root, covered, inputs))
-    case RowTpl            => constructRow(root, covered, inputs)
-    case OuterTpl          => constructOuter(root, covered, inputs)
+                                  inputs: IndexedSeq[Hop]): Option[CPlan] = {
+    val draft = tpe match {
+      case CellTpl | MAggTpl => Some(constructCell(root, covered, inputs))
+      case RowTpl            => Some(constructRow(root, covered, inputs))
+      case OuterTpl          => constructOuter(root, covered, inputs)
+    }
+    try draft.map(Codegen.emit) catch { case _: Codegen.CannotEmit => None }
   }
 
   private def constructCell(root: Hop, covered: Set[Long], inputs: IndexedSeq[Hop]): CPlan = {
@@ -213,7 +205,7 @@ object CPlan {
       rowDim = chainRoot.rows, chainRoot = chainRoot, wIdx = -1)
   }
 
-  private def constructRow(root: Hop, covered: Set[Long], inputs: IndexedSeq[Hop]): Option[CPlan] = {
+  private def constructRow(root: Hop, covered: Set[Long], inputs: IndexedSeq[Hop]): CPlan = {
     // the row dimension: rows iterated by the skeleton
     val rowDim = root match {
       case m: MatMulHop if TemplateType.isTransposeLeftMatMul(m) => m.right.rows
@@ -236,35 +228,11 @@ object CPlan {
       .orElse(inputs.find(in => in.rows == rowDim && in.numCells > 1))
       .getOrElse(inputs.head)
     val ordered = main +: inputs.filterNot(_ eq main)
-    Option.when(rowEmittable(root, covered, ordered, rowDim))(
-      CPlan(RowTpl, IndexedSeq(root), covered, ordered,
-        sparseSafe = false, // Row binds to whole rows; sparse rows handled by the skeleton
-        rowVariant = Some(variant), outerVariant = None, cellVariant = None,
-        maggFuncs = IndexedSeq.empty, rowDim = rowDim, chainRoot = chainOf(root, RowTpl, covered),
-        wIdx = -1))
-  }
-
-  /** Can the generated code of a Row operator compute every covered hop
-    * from one row of the main input (`inputs.head`)? Per row, it reads
-    * every other input as a scalar, a row vector or the row of a
-    * row-aligned input; a matmult's right operand whole, as an input other
-    * than the main; the x-side of a root t(X) %*% Z as X's row through a
-    * covered transpose, or by column from a materialized one, and no other
-    * transpose. Column and full aggregates are the root, and sums. */
-  private def rowEmittable(root: Hop, covered: Set[Long], inputs: IndexedSeq[Hop], rowDim: Long): Boolean = {
-    val xSide = root match {
-      case m: MatMulHop if TemplateType.isTransposeLeftMatMul(m) => Some(m.left)
-      case _                                                     => None
-    }
-    def readable(in: Hop): Boolean =
-      if (covered.contains(in.id)) !in.isInstanceOf[TransposeHop] else in.rows == 1 || in.rows == rowDim
-    inputs.head.rows == rowDim && coveredHops(root, covered).forall {
-      case m: MatMulHop if xSide.isDefined && (m eq root) => readable(m.right)
-      case m: MatMulHop => readable(m.left) && !covered.contains(m.right.id) && !(m.right eq inputs.head)
-      case t: TransposeHop => xSide.exists(_ eq t) && readable(t.in)
-      case a: AggHop if a.dir != RowDir => (a eq root) && a.func == SumAgg && readable(a.in)
-      case h => h.inputs.forall(readable)
-    }
+    CPlan(RowTpl, IndexedSeq(root), covered, ordered,
+      sparseSafe = false, // Row binds to whole rows; sparse rows handled by the skeleton
+      rowVariant = Some(variant), outerVariant = None, cellVariant = None,
+      maggFuncs = IndexedSeq.empty, rowDim = rowDim, chainRoot = chainOf(root, RowTpl, covered),
+      wIdx = -1)
   }
 
   /** The cell-wise chain of a fused operator: the part under its aggregate
@@ -316,17 +284,18 @@ object CPlan {
       maggFuncs = IndexedSeq.empty, rowDim = chainRoot.rows, chainRoot = chainRoot, wIdx = wIdx))
   }
 
-  /** Merge k one-root MAgg CPlans into one multi-aggregate CPlan. */
+  /** Merge k one-root MAgg CPlans into one multi-aggregate CPlan, emitted
+    * again for its new input order (each chain emitted alone before). */
   private[compiler] def multiAgg(aggs: Seq[CPlan]): CPlan = {
     val main = aggs.head.inputs.head
     val inputs = (main +: aggs.flatMap(_.inputs).filterNot(_ eq main).distinct).toIndexedSeq
-    CPlan(MAggTpl, aggs.map(_.root).toIndexedSeq,
+    Codegen.emit(CPlan(MAggTpl, aggs.map(_.root).toIndexedSeq,
       aggs.flatMap(_.covered).toSet,
       inputs,
       sparseSafe = aggs.forall(c => isSparseSafe(c.chainRoot, c.covered, main)),
       rowVariant = None, outerVariant = None, cellVariant = None,
       maggFuncs = aggs.flatMap(_.maggFuncs).toIndexedSeq,
-      rowDim = main.rows, chainRoot = aggs.head.chainRoot, wIdx = -1)
+      rowDim = main.rows, chainRoot = aggs.head.chainRoot, wIdx = -1))
   }
 
   /** All covered hops reachable from `root` (root included if covered). */

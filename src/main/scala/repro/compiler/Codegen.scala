@@ -2,6 +2,7 @@ package repro.compiler
 
 import java.util.concurrent.atomic.AtomicLong
 import scala.collection.mutable
+import scala.util.control.NoStackTrace
 import repro.core._
 import repro.runtime._
 import repro.runtime.Ops._
@@ -23,32 +24,28 @@ object CodegenStats {
     planCacheHits, codegenNanos, compileNanos, plansEvaluated, plansSkipped).foreach(_.set(0))
 }
 
-/** Compiles CPlans into executable fused operators.
+/** Generates the Java code of fused operators and compiles it.
   *
   * Per-operator Java source, compiled in memory with janino, as in the
-  * paper (§2.1, Fig. 11). Generated classes only override the template's
-  * `genexec`; data access and aggregation live in the hand-coded
-  * skeletons ([[repro.runtime.SpoofCellwise]] et al.), each of which runs
-  * on one thread, except that a generated Row operator writes each row's
-  * result into the skeleton's output as its variant says (paper §2.2).
-  * The class cache of [[repro.runtime.JavaBackend]], keyed by the
-  * generated source, identifies equivalent CPlans and avoids
+  * paper (§2.1, Fig. 11). [[CPlan.construct]] calls [[emit]], the one gate
+  * for what a fused operator can run, and the CPlan keeps its code. Generated
+  * classes only override the template's `genexec`; data access and
+  * aggregation live in the hand-coded skeletons
+  * ([[repro.runtime.SpoofCellwise]] et al.), which run over row ranges; a
+  * generated Row operator writes each row's result into the skeleton's
+  * output as its variant says (paper §2.2). The class cache of
+  * [[repro.runtime.JavaBackend]], keyed by the generated source, avoids
   * re-compilation across DAGs and dynamic recompilation (paper §2.1,
-  * §5.3). Only classes are cached: the skeleton's parameters (Cell and
-  * MAgg aggregation, sparse-safety, Row output shape) are not part of the
-  * source, so every call builds the skeleton fresh from its CPlan.
+  * §5.3). Only classes are cached: the skeleton's parameters (aggregation,
+  * sparse-safety, Row output shape) are not in the source, so every call
+  * builds the skeleton fresh from its CPlan.
   */
 object Codegen {
 
+  /** `cplan`'s classes, cached or compiled now, in a fresh skeleton. */
   def compile(cplan: CPlan): SpoofOperator = {
     val t0 = System.nanoTime()
-    lazy val (rowSrc, wholeInputs) = rowSource(cplan)
-    val sources = cplan.tpe match {
-      case CellTpl  => IndexedSeq(cellSource(cplan, cplan.chainRoot))
-      case MAggTpl  => cplan.roots.map(r => cellSource(cplan, r.asInstanceOf[AggHop].in))
-      case RowTpl   => IndexedSeq(rowSrc)
-      case OuterTpl => IndexedSeq(outerSource(cplan))
-    }
+    val sources = cplan.sources
     // a miss if this call compiled any class: of several threads compiling
     // the same new source, only the one that compiled it counts it
     if (sources.map(JavaBackend.load).contains(true)) {
@@ -59,15 +56,39 @@ object Codegen {
       case CellTpl  => new SpoofCellwise(cplan.cellVariant.get, cplan.sparseSafe, ExecRef(sources.head))
       case MAggTpl  => new SpoofMultiAgg(cplan.maggFuncs, cplan.sparseSafe, sources.map(ExecRef[CellExec]))
       case RowTpl   => new SpoofRowwise(cplan.rowVariant.get, cplan.root.rows.toInt, cplan.root.cols.toInt,
-        wholeInputs, ExecRef(sources.head))
+        cplan.byRow, ExecRef(sources.head))
       case OuterTpl => new SpoofOuterProduct(cplan.outerVariant.get, cplan.wIdx, ExecRef(sources.head))
     }
   }
 
-  private def inputIndex(h: Hop, cplan: CPlan): Int = {
-    val idx = cplan.inputs.indexWhere(_ eq h)
-    if (idx < 0) throw new IllegalStateException(s"input $h not bound in CPlan inputs ${cplan.inputs}")
-    idx
+  /** The emitter cannot generate a CPlan's code: [[CPlan.construct]] refuses it. */
+  private[compiler] final class CannotEmit(msg: String) extends Exception(msg) with NoStackTrace
+  private def refuse(msg: String): Nothing = throw new CannotEmit(msg)
+
+  /** `draft` with its generated code: its genexec source(s), for each
+    * input whether the code reads it by row of the main input or whole,
+    * and for Row whether the sparse-row variant scatters the main row.
+    * Throws [[CannotEmit]] where it cannot generate correct code. */
+  private[compiler] def emit(draft: CPlan): CPlan = {
+    val reads = new Reads
+    val sources = draft.tpe match {
+      case CellTpl  => IndexedSeq(cellSource(draft, draft.chainRoot, reads))
+      case MAggTpl  => draft.roots.map(r => cellSource(draft, r.asInstanceOf[AggHop].in, reads))
+      case RowTpl   => IndexedSeq(rowSource(draft, reads))
+      case OuterTpl => IndexedSeq(outerSource(draft, reads))
+    }
+    draft.copy(sources = sources, byRow = draft.inputs.indices.map(reads.byRow), scattersMainRow = reads.scatters)
+  }
+
+  /** What the generated code reads of each input, by row of the main input
+    * (index 0) or whole, refusing an input read both ways; and whether a
+    * Row operator's sparse-row variant scatters the main row. */
+  private final class Reads {
+    private val rowRead = mutable.Map(0 -> true)
+    var scatters = false
+    def apply(k: Int, byRow: Boolean): Unit =
+      if (rowRead.getOrElseUpdate(k, byRow) != byRow) refuse(s"input $k read both by row and whole")
+    def byRow(k: Int): Boolean = rowRead.getOrElse(k, false)
   }
 
   private def unaryJava(op: UnaryOp, x: String): String = op match {
@@ -98,7 +119,8 @@ object Codegen {
     case Le    => s"(($x <= $y) ? 1.0 : 0.0)"
   }
 
-  private class Src(val prefix: String = "") {
+  /** One operator's emission: its code so far and what it reads. */
+  private class Src(val cplan: CPlan, val reads: Reads, val prefix: String = "") {
     val body = new StringBuilder
     val fields = new StringBuilder
     private var n = 0
@@ -114,52 +136,25 @@ object Codegen {
       line(s"double[] $t = ${t}F;")
       t
     }
+    /** The index of input `h`, recorded as read by row or whole. */
+    def input(h: Hop, byRow: Boolean): Int = {
+      val k = cplan.inputs.indexWhere(_ eq h)
+      if (k < 0) refuse(s"input $h not bound in CPlan inputs ${cplan.inputs}")
+      reads(k, byRow)
+      k
+    }
+    /** Side input `h` at cell (rix, cix), broadcast over its dimensions of 1. */
+    def cell(h: Hop): String = {
+      val k = input(h, h.rows > 1)
+      val t = fresh()
+      line(s"double $t = b[$k].get(${sideIdx(h)});")
+      t
+    }
   }
 
   private def header(parent: String): String =
     "package repro.codegen;\nimport repro.runtime.MatrixBlock;\nimport repro.runtime.VectorPrims;\n" +
       s"public final class ${JavaBackend.ClassName} extends repro.runtime.$parent {\n"
-
-  // ---------------------------------------------------------------- Cell
-
-  private def cellSource(cplan: CPlan, chainRoot: Hop): String = {
-    val src = new Src
-    val root = emitCell(chainRoot, cplan, src)
-    header("CellExec") +
-      "  public double genexec(double a, MatrixBlock[] b, int rix, int cix) {\n" +
-      src.body.toString +
-      s"    return $root;\n  }\n}\n"
-  }
-
-  /** Emit SSA-style Java for a cell chain; returns the value expression. */
-  private def emitCell(h: Hop, cplan: CPlan, src: Src): String = {
-    val main = cplan.inputs(0)
-    if (h eq main) return "a"
-    src.memo.get(h.id).foreach(return _)
-    val v =
-      if (!cplan.covered.contains(h.id)) {
-        val k = inputIndex(h, cplan)
-        val t = src.fresh()
-        src.line(s"double $t = b[$k].get(${sideIdx(h)});")
-        t
-      }
-      else h match {
-        case u: UnaryHop =>
-          val x = emitCell(u.in, cplan, src)
-          val t = src.fresh()
-          src.line(s"double $t = ${unaryJava(u.op, x)};")
-          t
-        case bin: BinaryHop =>
-          val x = emitCell(bin.left, cplan, src)
-          val y = emitCell(bin.right, cplan, src)
-          val t = src.fresh()
-          src.line(s"double $t = ${binaryJava(bin.op, x, y)};")
-          t
-        case _ => throw new IllegalStateException(s"unsupported hop in Cell chain: $h")
-      }
-    src.memo(h.id) = v
-    v
-  }
 
   /** Broadcast-resolved (rix, cix) access for a side input. */
   private def sideIdx(h: Hop): String =
@@ -167,6 +162,41 @@ object Codegen {
     else if (h.cols == 1) "rix, 0"
     else if (h.rows == 1) "0, cix"
     else "rix, cix"
+
+  // ---------------------------------------------------------------- Cell
+
+  private def cellSource(cplan: CPlan, chainRoot: Hop, reads: Reads): String = {
+    val src = new Src(cplan, reads)
+    val root = emitCell(chainRoot, src)
+    header("CellExec") +
+      "  public double genexec(double a, MatrixBlock[] b, int rix, int cix) {\n" +
+      src.body.toString +
+      s"    return $root;\n  }\n}\n"
+  }
+
+  /** Emit SSA-style Java for a cell chain; returns the value expression. */
+  private def emitCell(h: Hop, src: Src): String = {
+    if (h eq src.cplan.inputs(0)) return "a"
+    src.memo.get(h.id).foreach(return _)
+    val v =
+      if (!src.cplan.covered.contains(h.id)) src.cell(h)
+      else h match {
+        case u: UnaryHop =>
+          val x = emitCell(u.in, src)
+          val t = src.fresh()
+          src.line(s"double $t = ${unaryJava(u.op, x)};")
+          t
+        case bin: BinaryHop =>
+          val x = emitCell(bin.left, src)
+          val y = emitCell(bin.right, src)
+          val t = src.fresh()
+          src.line(s"double $t = ${binaryJava(bin.op, x, y)};")
+          t
+        case _ => refuse(s"unsupported hop in Cell chain: $h")
+      }
+    src.memo(h.id) = v
+    v
+  }
 
   // ----------------------------------------------------------------- Row
 
@@ -181,11 +211,10 @@ object Codegen {
   private val sparseRow = "avals, aix, apos, alen"
 
   /** Row emission state on top of [[Src]]: the value of each emitted hop,
-    * the sparse main row once scattered into a ring buffer, and the inputs
-    * read whole rather than by row. */
-  private final class RowSrc(prefix: String, val cplan: CPlan, val main: RowVal) extends Src(prefix) {
+    * and the sparse main row once scattered into a ring buffer. */
+  private final class RowSrc(prefix: String, cplan: CPlan, reads: Reads, val main: RowVal)
+      extends Src(cplan, reads, prefix) {
     val values = mutable.Map[Long, RowVal]()
-    val whole = mutable.Set[Int]()
     var scattered: Option[Vec] = None
     def local(x: String): String = { val t = fresh(); line(s"double $t = $x;"); t }
     def vec(t: String): Vec = Vec(t, "0", s"$t.length")
@@ -202,10 +231,11 @@ object Codegen {
       case SparseRow => scattered.getOrElse {
         val t = buf("len")
         line(s"VectorPrims.vectScatter($sparseRow, $t);")
+        reads.scatters = true
         scattered = Some(vec(t))
         scattered.get
       }
-      case Scal(x) => throw new IllegalStateException(s"per-row scalar $x where a vector is expected")
+      case Scal(x) => refuse(s"per-row scalar $x where a vector is expected")
     }
     def sum(v: RowVal): String = v match {
       case Scal(x)   => x
@@ -216,27 +246,30 @@ object Codegen {
 
   /** Both genexec variants of a Row operator, from one emitter: the dense
     * one reads the main row in place as (a, ai, len), the sparse one as its
-    * non-zeros. Each writes its row's result into the output `c`. Also
-    * returns the indexes of the inputs the code reads whole: a matmult's
-    * right operand and a materialized t(X). */
-  private def rowSource(cplan: CPlan): (String, Set[Int]) = {
+    * non-zeros. Each writes its row's result into the output `c`. The
+    * skeleton iterates the main input's rows, so they must be the
+    * operator's. */
+  private def rowSource(cplan: CPlan, reads: Reads): String = {
+    if (cplan.inputs(0).rows != cplan.rowDim) refuse(s"main input ${cplan.inputs(0)} not row-aligned")
     val variants = Seq(
-      new RowSrc("D", cplan, Vec("a", "ai", "len")) -> "double[] a, int ai",
-      new RowSrc("S", cplan, SparseRow) -> "double[] avals, int[] aix, int apos, int alen")
+      new RowSrc("D", cplan, reads, Vec("a", "ai", "len")) -> "double[] a, int ai",
+      new RowSrc("S", cplan, reads, SparseRow) -> "double[] avals, int[] aix, int apos, int alen")
     val methods = variants.map { case (src, params) =>
       emitRowOutput(src)
       s"  public void genexec($params, MatrixBlock[] b, double[] c, int rix, int len) {\n" +
         src.body.toString + "  }\n"
     }
-    (header("RowExec") + variants.map(_._1.fields).mkString + methods.mkString + "}\n",
-      variants.flatMap(_._1.whole).toSet)
+    header("RowExec") + variants.map(_._1.fields).mkString + methods.mkString + "}\n"
   }
 
-  /** Emit the row's result and its write into `c`, as the variant says. */
+  /** Emit the row's result and its write into `c`, as the variant says.
+    * Column and full aggregates add up the rows' results: only sums do. */
   private def emitRowOutput(src: RowSrc): Unit = {
     val cplan = src.cplan
     def emit(h: Hop) = emitRow(h, src)
     cplan.rowVariant.get match {
+      case RowColAgg | RowFullAgg if cplan.root.asInstanceOf[AggHop].func != SumAgg =>
+        refuse(s"Row operator rooted at a non-sum aggregate ${cplan.root}")
       case RowNoAgg =>
         val d = src.dense(emit(cplan.chainRoot))
         src.line(s"System.arraycopy(${d.arr}, ${d.off}, c, rix * ${d.len}, ${d.len});")
@@ -267,16 +300,17 @@ object Codegen {
   }
 
   /** The x-side row of t(X) %*% Z: row rix of X, which is column rix of a
-    * materialized t(X). */
+    * materialized t(X), read whole. */
   private def emitXSide(t: TransposeHop, src: RowSrc): RowVal =
     if (src.cplan.covered.contains(t.id)) emitRow(t.in, src)
     else {
-      val k = inputIndex(t, src.cplan)
-      src.whole += k
+      val k = src.input(t, byRow = false)
       src.loop(s"b[$k].rows()")(i => s"b[$k].get($i, rix)")
     }
 
-  /** Emit a Row-chain node for the current row. */
+  /** Emit a Row-chain node for the current row. A side input is read as a
+    * scalar or row vector (whole), by row if row-aligned, or whole as a
+    * matmult's right operand. */
   private def emitRow(h: Hop, src: RowSrc): RowVal = {
     val cplan = src.cplan
     if (h eq cplan.inputs(0)) return src.main
@@ -284,15 +318,15 @@ object Codegen {
     def emit(x: Hop) = emitRow(x, src)
     val result: RowVal =
       if (!cplan.covered.contains(h.id)) {
-        val k = inputIndex(h, cplan)
+        if (h.rows != 1 && h.rows != cplan.rowDim) refuse(s"non row-aligned side input in Row chain: $h")
+        val k = src.input(h, h.rows != 1)
         if (h.rows == 1 && h.cols == 1) Scal(s"b[$k].get(0, 0)")
-        else if (h.rows == cplan.rowDim && h.cols == 1) Scal(s"b[$k].get(rix, 0)")
-        else if (h.rows == 1 || h.rows == cplan.rowDim) {
+        else if (h.cols == 1) Scal(s"b[$k].get(rix, 0)")
+        else {
           val t = src.buf(s"b[$k].cols()")
           src.line(s"b[$k].copyRow(${if (h.rows == 1) "0" else "rix"}, $t);")
           src.vec(t)
         }
-        else throw new IllegalStateException(s"non row-aligned side input in Row chain: $h")
       }
       else h match {
         case u: UnaryHop => emit(u.in) match {
@@ -324,9 +358,9 @@ object Codegen {
             Scal(t)
         }
         case m: MatMulHop =>
-          // a narrow matmult: the right operand is an input, read whole
-          val k = inputIndex(m.right, cplan)
-          src.whole += k
+          // a narrow matmult: the right operand is an input other than the
+          // main, read whole
+          val k = src.input(m.right, byRow = false)
           val bv = s"b[$k].toDense().values()"
           val cols = s"b[$k].cols()"
           (emit(m.left), m.right.cols == 1) match {
@@ -347,7 +381,7 @@ object Codegen {
               src.line(s"VectorPrims.vectMatMultWrite(${d.arr}, ${d.off}, $bv, $t, ${d.len}, $cols);")
               src.vec(t)
           }
-        case _ => throw new IllegalStateException(s"unsupported hop in Row chain: $h")
+        case _ => refuse(s"unsupported hop in Row chain: $h")
       }
     src.values(h.id) = result
     result
@@ -355,19 +389,24 @@ object Codegen {
 
   // --------------------------------------------------------------- Outer
 
-  private def outerSource(cplan: CPlan): String = {
-    val src = new Src
+  /** The Outer skeleton reads the driver X (index 0) and U (index 1) by
+    * row and V (index 2) whole; W, t(chain) %*% W's by row and chain %*%
+    * W's whole. */
+  private def outerSource(cplan: CPlan, reads: Reads): String = {
+    reads(1, byRow = true)
+    reads(2, byRow = false)
+    if (cplan.wIdx >= 0) reads(cplan.wIdx, cplan.outerVariant.contains(OuterLeftMM))
+    val src = new Src(cplan, reads)
     src.line("int R_ = b[2].cols();") // rank, read from V at runtime
-    val root = emitOuter(cplan.chainRoot, cplan, cplan.opening.get, src)
+    val root = emitOuter(cplan.chainRoot, cplan.opening.get, src)
     header("OuterExec") +
       "  public double genexec(double x, double[] u, double[] v, MatrixBlock[] b, int rix, int cix) {\n" +
       src.body.toString +
       s"    return $root;\n  }\n}\n"
   }
 
-  private def emitOuter(h: Hop, cplan: CPlan, opening: MatMulHop, src: Src): String = {
-    val main = cplan.inputs(0)
-    if (h eq main) return "x"
+  private def emitOuter(h: Hop, opening: MatMulHop, src: Src): String = {
+    if (h eq src.cplan.inputs(0)) return "x"
     src.memo.get(h.id).foreach(return _)
     val v =
       if (h eq opening) {
@@ -375,20 +414,15 @@ object Codegen {
         src.line(s"double $t = VectorPrims.dotProduct(u, v, rix * R_, cix * R_, R_);")
         t
       }
-      else if (!cplan.covered.contains(h.id)) {
-        val k = inputIndex(h, cplan)
-        val t = src.fresh()
-        src.line(s"double $t = b[$k].get(${sideIdx(h)});")
-        t
-      }
+      else if (!src.cplan.covered.contains(h.id)) src.cell(h)
       else h match {
-        case u: UnaryHop  => unaryJava(u.op, emitOuter(u.in, cplan, opening, src))
+        case u: UnaryHop  => unaryJava(u.op, emitOuter(u.in, opening, src))
         case bn: BinaryHop =>
           binaryJava(bn.op,
-            emitOuter(bn.left, cplan, opening, src),
-            emitOuter(bn.right, cplan, opening, src))
-        case t: TransposeHop => emitOuter(t.in, cplan, opening, src)
-        case _ => throw new IllegalStateException(s"unsupported hop in Outer chain: $h")
+            emitOuter(bn.left, opening, src),
+            emitOuter(bn.right, opening, src))
+        case t: TransposeHop => emitOuter(t.in, opening, src)
+        case _ => refuse(s"unsupported hop in Outer chain: $h")
       }
     src.memo(h.id) = v
     v

@@ -74,14 +74,14 @@ object CostModel {
     val dist = (outputs ++ inputs).exists(isDistributedHop(_, cfg))
 
     // constraint Z: distributed Row templates need whole rows per block;
-    // distributed side inputs must fit the broadcast budget
+    // broadcast side inputs, local or read whole, must fit the broadcast budget
     op match {
       case PFused(cplan) if dist =>
         val main = cplan.inputs.head
         if (cplan.tpe == RowTpl && isDistributedHop(main, cfg) && main.cols > cfg.blockCols)
           return Double.PositiveInfinity
-        val sides = cplan.inputs.drop(1)
-        if (sides.exists(s => !isDistributedHop(s, cfg) && sizeBytes(s) > cfg.broadcastBudget.toDouble))
+        val broadcast = cplan.inputs.indices.tail.filter(k => !cplan.byRow(k) || !isDistributedHop(cplan.inputs(k), cfg))
+        if (broadcast.exists(k => sizeBytes(cplan.inputs(k)) > cfg.broadcastBudget.toDouble))
           return Double.PositiveInfinity
       case _ =>
     }

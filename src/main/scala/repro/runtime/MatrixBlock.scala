@@ -200,7 +200,8 @@ object MatrixBlock {
     }
   }
 
-  /** Max absolute element-wise difference (test helper). */
+  /** Max absolute element-wise difference (test helper). A NaN on one
+    * side only is an infinite difference; NaN on both sides is equal. */
   def maxAbsDiff(a: MatrixBlock, b: MatrixBlock): Double = {
     require(a.rows == b.rows && a.cols == b.cols, s"dims ${a.rows}x${a.cols} vs ${b.rows}x${b.cols}")
     var m = 0.0
@@ -208,7 +209,9 @@ object MatrixBlock {
     while (i < a.rows) {
       var j = 0
       while (j < a.cols) {
-        val d = math.abs(a.get(i, j) - b.get(i, j))
+        val x = a.get(i, j)
+        val y = b.get(i, j)
+        val d = if (x.isNaN != y.isNaN) Double.PositiveInfinity else math.abs(x - y)
         if (d > m) m = d
         j += 1
       }

@@ -267,14 +267,14 @@ final class SpoofMultiAgg(
   * each row's result into the output, whose shape the variant and the
   * CPlan root's dimensions (`rootRows` x `rootCols`) give: each row range
   * writes its rows of one shared output (NoAgg, RowAgg) or accumulates
-  * into its own partial (ColAgg, FullAgg, ColAggT). It reads the
-  * `wholeInputs` whole, so a sparse one is densified once per call; it
-  * reads every other side input by row. */
+  * into its own partial (ColAgg, FullAgg, ColAggT). It reads input `k` by
+  * row if `byRow(k)`, else whole, so a sparse one is densified once per
+  * call. */
 final class SpoofRowwise(
     val variant: RowVariant,
     val rootRows: Int,
     val rootCols: Int,
-    val wholeInputs: Set[Int],
+    val byRow: IndexedSeq[Boolean],
     val exec: ExecRef[RowExec],
 ) extends SpoofOperator {
 
@@ -284,7 +284,7 @@ final class SpoofRowwise(
     while (k < inputs.length) {
       inputs(k) = inputs0(k) match {
         case c: CompressedBlock               => c.toDense
-        case s: SparseBlock if wholeInputs(k) => s.toDense
+        case s: SparseBlock if !byRow(k)      => s.toDense
         case b                                => b
       }
       k += 1

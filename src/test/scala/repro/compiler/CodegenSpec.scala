@@ -319,6 +319,15 @@ class CodegenSpec extends SparkSpec {
       Seq(x %*% (a %*% a))
     }
   }
+  // The generated code reads a matmult's right operand whole, so it cannot
+  // be the main input, which it reads by row.
+  test("rowSums(abs(X) %*% X) with X 40x40 equals Base, dense and sparse") {
+    for (mk <- Seq(dense _, sparse _))
+      TestLA.modesAgree(tol = 1e-8) { implicit ctx =>
+        val x = ctx.bindLocal("X", mk(40, 40, 110))
+        Seq((x.abs %*% x).rowSums)
+      }
+  }
   // A Row operator adds up its rows' results: a column max is no sum.
   test("colMaxs(X * 2.0) equals Base") {
     TestLA.modesAgree() { implicit ctx =>

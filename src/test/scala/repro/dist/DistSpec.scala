@@ -251,13 +251,14 @@ class DistSpec extends SparkSpec {
     got.zip(expect).foreach { case (g, e) => assert(MatrixBlock.maxAbsDiff(g, e) < 1e-8) }
   }
 
-  /** `build` over X in every mode, X distributed (block 16, a 2 KB
-    * budget, so t(X) stays distributed), against Base over X local. */
-  private def transposeConsumer(build: (ExecContext, MX) => MX): Unit =
-    for (x0 <- Seq(xDense, xSparse)) withDist(DistOps.fromLocal(spark, x0, 16)) { dm =>
-      val lCtx = new ExecContext(BaseMode)
+  /** `build` over X in `modes`, X distributed (block 16, a 2 KB budget, so
+    * t(X) stays distributed), against `refMode` over X local. */
+  private def overDistX(build: (ExecContext, MX) => MX, xs: Seq[MatrixBlock] = Seq(xDense, xSparse),
+                        modes: Seq[ExecMode] = TestLA.allModes, refMode: ExecMode = BaseMode): Unit =
+    for (x0 <- xs) withDist(DistOps.fromLocal(spark, x0, 16)) { dm =>
+      val lCtx = new ExecContext(refMode)
       val expect = build(lCtx, lCtx.bindLocal("X", x0)).eval().toLocal
-      for (mode <- TestLA.allModes) {
+      for (mode <- modes) {
         val ctx = new ExecContext(mode, CostConfig(localMemBudget = 2048, distLatencyS = 0.0), Some(spark), 16)
         val got = build(ctx, ctx.bindDist("X", dm)).eval().toLocal
         assert(got.rows == expect.rows && got.cols == expect.cols, mode.label)
@@ -266,17 +267,51 @@ class DistSpec extends SparkSpec {
     }
 
   test("abs(t(X)) over distributed X equals local (all modes)") {
-    transposeConsumer((_, x) => x.t.abs)
+    overDistX((_, x) => x.t.abs)
   }
   test("t(X) max v with v 12x1 over distributed X equals local (all modes)") {
-    transposeConsumer((ctx, x) => x.t max ctx.bindLocal("v", MatrixBlock.rand(12, 1, 1.0, 26, min = -1, max = 1)))
+    overDistX((ctx, x) => x.t max ctx.bindLocal("v", MatrixBlock.rand(12, 1, 1.0, 26, min = -1, max = 1)))
   }
   test("t(X) as a root over distributed X equals local (all modes)") {
-    transposeConsumer((_, x) => x.t)
+    overDistX((_, x) => x.t)
   }
   test("V %*% t(X) with V 5x12 local over distributed X equals local (all modes)") {
-    transposeConsumer((ctx, x) => ctx.bindLocal("V", MatrixBlock.rand(5, 12, 1.0, 27, min = -1, max = 1)) %*% x.t)
+    overDistX((ctx, x) => ctx.bindLocal("V", MatrixBlock.rand(5, 12, 1.0, 27, min = -1, max = 1)) %*% x.t)
   }
+
+  // ---- a side the operator reads whole is broadcast whole ----------------
+  // B has as many rows as X, but a matmult reads its right operand whole:
+  // B must not be sliced per row block of X.
+  private val xSquare = Seq(MatrixBlock.rand(64, 64, 1.0, 32, min = -1, max = 1),
+    MatrixBlock.rand(64, 64, 0.2, 33, min = -1, max = 1))
+  private val bTall = MatrixBlock.rand(64, 3, 1.0, 34, min = -1, max = 1)
+  private val genModes = Seq(CostBased, FuseAll, FuseNoRedundancy).map(GenMode)
+  test("sum(sigmoid(X %*% B)) with B 64x3 local over distributed X 64x64 equals local (all modes)") {
+    overDistX((ctx, x) => (x %*% ctx.bindLocal("B", bTall)).sigmoid.sum, xSquare)
+  }
+  test("abs(X) %*% B with B 64x3 local over distributed X 64x64 equals local (all modes)") {
+    overDistX((ctx, x) => x.abs %*% ctx.bindLocal("B", bTall), xSquare)
+  }
+  test("rowSums(abs(X) %*% B) with B 64x3 local over distributed X 64x64 equals local (all modes)") {
+    overDistX((ctx, x) => (x.abs %*% ctx.bindLocal("B", bTall)).rowSums, xSquare)
+  }
+  // The generated code reads the main input by row, so it cannot also read
+  // it whole as a matmult's right operand: per block, that would be the
+  // block. Gen then reads abs(X) by row and X whole. Base, Fused, Gen-FA
+  // and Gen-FNR run abs(X) %*% X as a basic operator, which has no
+  // distributed-distributed matmult, so only Gen runs, against Gen over X
+  // local.
+  test("rowSums(abs(X) %*% X) over distributed X 64x64 equals Gen over X local") {
+    overDistX((_, x) => (x.abs %*% x).rowSums, xSquare, Seq(GenMode(CostBased)), GenMode(CostBased))
+  }
+  // t(X) is distributed and read whole, so it is collected and broadcast.
+  // Base has no operator for a distributed-distributed matmult, so the Gen
+  // modes are checked against Gen over X local.
+  test("X %*% t(X) over distributed X 60x20 equals Gen over X local (Gen modes)") {
+    overDistX((_, x) => x %*% x.t, Seq(MatrixBlock.rand(60, 20, 1.0, 35, min = -1, max = 1)),
+      genModes, GenMode(CostBased))
+  }
+
   test("t(X) %*% y and t(X) %*% Z under Base read distributed X in place, in one pass") {
     val zL = MatrixBlock.rand(100, 3, 1.0, 28, min = -1, max = 1)
     val yL = MatrixBlock.rand(100, 1, 1.0, 29, min = -1, max = 1)

@@ -20,6 +20,12 @@ class BlockSpec extends SparkSpec {
   private val s1 = MatrixBlock.rand(17, 9, 0.3, 3, min = -2, max = 2)
   private val s2 = MatrixBlock.rand(17, 9, 0.4, 4, min = -2, max = 2)
 
+  test("maxAbsDiff counts a NaN on one side as infinite and NaN on both sides as equal") {
+    val nan = MatrixBlock.dense(1, 2, Array(Double.NaN, 1.0))
+    assert(MatrixBlock.maxAbsDiff(nan, MatrixBlock.dense(1, 2, Array(0.0, 1.0))) == Double.PositiveInfinity)
+    assert(MatrixBlock.maxAbsDiff(MatrixBlock.dense(1, 2, Array(0.0, 1.0)), nan) == Double.PositiveInfinity)
+    assert(MatrixBlock.maxAbsDiff(nan, MatrixBlock.dense(1, 2, Array(Double.NaN, 1.5))) == 0.5)
+  }
   test("dense round trip: toSparse.toDense") {
     assertEq(d1, d1.toDense.toSparse.toDense)
   }
