@@ -18,12 +18,12 @@ final case class PBasic(hop: Hop, inputs: Seq[Hop]) extends POp {
 object PBasic {
   def apply(hop: Hop): PBasic = PBasic(hop, hop.inputs)
 
-  /** The basic operator of `h`. A matmult t(Y) %*% Z over a distributed Y
-    * reads Y in place of t(Y), in one pass over Y's row blocks: SystemML
-    * picks the physical operator of t(X) %*% Z at compile time. t(Y) is
-    * built only if another operator reads it. */
-  def of(h: Hop, cfg: CostConfig): PBasic = h match {
-    case m: MatMulHop if m.left.isInstanceOf[TransposeHop] && CostModel.isDistributedHop(m.left.inputs.head, cfg) =>
+  /** The basic operator of `h`. A matmult t(Y) %*% Z reads Y in place of
+    * t(Y), local or distributed, in one pass over Y's rows: SystemML picks
+    * the physical operator of t(X) %*% Z at compile time. t(Y) is built
+    * only if another operator reads it. */
+  def of(h: Hop): PBasic = h match {
+    case m: MatMulHop if m.left.isInstanceOf[TransposeHop] =>
       PBasic(m, Seq(m.left.inputs.head, m.right))
     case _ => PBasic(h)
   }
@@ -68,13 +68,13 @@ object ExecPlan {
     * operator's inputs are materialized next, an unclaimed hop becomes a
     * [[PBasic.of]]. Operators come out sorted by the topological index of
     * their last output, so producers precede consumers. */
-  def build(roots: Seq[Hop], cfg: CostConfig)(choose: Hop => Option[POp]): Seq[POp] = {
+  def build(roots: Seq[Hop])(choose: Hop => Option[POp]): Seq[POp] = {
     val produced = mutable.Map[Long, POp]()
     val stack = mutable.Stack[Hop](roots: _*)
     while (stack.nonEmpty) {
       val h = stack.pop()
       if (!produced.contains(h.id) && !h.isInstanceOf[LeafHop] && !h.isInstanceOf[LitHop]) {
-        val op = choose(h).getOrElse(PBasic.of(h, cfg))
+        val op = choose(h).getOrElse(PBasic.of(h))
         produced(h.id) = op
         op.inputs.foreach(stack.push)
       }

@@ -246,14 +246,16 @@ object Codegen {
 
   /** Both genexec variants of a Row operator, from one emitter: the dense
     * one reads the main row in place as (a, ai, len), the sparse one as its
-    * non-zeros. Each writes its row's result into the output `c`. The
-    * skeleton iterates the main input's rows, so they must be the
-    * operator's. */
+    * non-zeros; a one-column main row is a per-row scalar in both. Each
+    * writes its row's result into the output `c`. The skeleton iterates the
+    * main input's rows, so they must be the operator's. */
   private def rowSource(cplan: CPlan, reads: Reads): String = {
     if (cplan.inputs(0).rows != cplan.rowDim) refuse(s"main input ${cplan.inputs(0)} not row-aligned")
+    val column = cplan.inputs(0).cols == 1
     val variants = Seq(
-      new RowSrc("D", cplan, reads, Vec("a", "ai", "len")) -> "double[] a, int ai",
-      new RowSrc("S", cplan, reads, SparseRow) -> "double[] avals, int[] aix, int apos, int alen")
+      new RowSrc("D", cplan, reads, if (column) Scal("a[ai]") else Vec("a", "ai", "len")) -> "double[] a, int ai",
+      new RowSrc("S", cplan, reads, if (column) Scal("(alen > 0 ? avals[apos] : 0.0)") else SparseRow) ->
+        "double[] avals, int[] aix, int apos, int alen")
     val methods = variants.map { case (src, params) =>
       emitRowOutput(src)
       s"  public void genexec($params, MatrixBlock[] b, double[] c, int rix, int len) {\n" +

@@ -16,11 +16,11 @@ object HandCoded {
 
   /** Plan a DAG: hand-coded operators where a pattern matches (and all
     * interior nodes are consumed only inside the pattern), basic ops else. */
-  def plan(roots: Seq[Hop], cfg: CostConfig): ExecPlan = {
+  def plan(roots: Seq[Hop]): ExecPlan = {
     val consumers = Hop.consumers(roots)
     def single(h: Hop): Boolean = consumers(h.id).size <= 1
 
-    ExecPlan(ExecPlan.build(roots, cfg)(tryMatch(_, single)))
+    ExecPlan(ExecPlan.build(roots)(tryMatch(_, single)))
   }
 
   private def tryMatch(h: Hop, single: Hop => Boolean): Option[PHandCoded] = h match {

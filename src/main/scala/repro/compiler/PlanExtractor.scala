@@ -26,19 +26,19 @@ object PlanExtractor {
   /** Per-extraction memo of entry validity (avoids re-walking ref chains). */
   private type ValidCache = mutable.Map[(Long, MemoEntry), Boolean]
 
-  def extract(dagRoots: Seq[Hop], memo: MemoTable, materialized: Set[(Long, Long)], cfg: CostConfig): ExecPlan =
-    ExecPlan(mergeMultiAggs(operators(dagRoots, memo, materialized, cfg)))
+  def extract(dagRoots: Seq[Hop], memo: MemoTable, materialized: Set[(Long, Long)]): ExecPlan =
+    ExecPlan(mergeMultiAggs(operators(dagRoots, memo, materialized)))
 
   /** The plan's operators before multi-aggregates are merged. */
-  private def operators(dagRoots: Seq[Hop], memo: MemoTable, materialized: Set[(Long, Long)], cfg: CostConfig): Seq[POp] = {
+  private def operators(dagRoots: Seq[Hop], memo: MemoTable, materialized: Set[(Long, Long)]): Seq[POp] = {
     implicit val cache: ValidCache = mutable.Map.empty
-    ExecPlan.build(dagRoots, cfg)(h => chooseBest(h, memo, materialized).map(PFused))
+    ExecPlan.build(dagRoots)(h => chooseBest(h, memo, materialized).map(PFused))
   }
 
   /** Costs the plans of one partition `p`, each given as the set of its
     * interesting points (indexes into `p.points`) that are materialized.
     * `apply(mat)` equals `CostModel.planCost(extract(dagRoots, memo, edges
-    * of mat, cfg), cfg, Some(p.nodes))`, summed in the same order, but extracts
+    * of mat), cfg, Some(p.nodes))`, summed in the same order, but extracts
     * only the partition's operators:
     *  - An operator rooted outside `p` never depends on `p`'s points, so
     *    those are extracted once. The walk starts at the partition nodes
@@ -53,7 +53,7 @@ object PlanExtractor {
   final class PartitionCost(dagRoots: Seq[Hop], memo: MemoTable, p: PlanPartition, cfg: CostConfig) {
     private val topo = Hop.collect(dagRoots)
     private val topoIdx: Map[Long, Int] = topo.iterator.map(_.id).zipWithIndex.toMap
-    private val outside = operators(dagRoots, memo, Set.empty, cfg).filterNot(op => p.nodes(op.outputs.head.id))
+    private val outside = operators(dagRoots, memo, Set.empty).filterNot(op => p.nodes(op.outputs.head.id))
     private val seeds: Seq[Hop] = (dagRoots ++ outside.flatMap(_.inputs)).filter(h => p.nodes(h.id)).distinct
     private val fixed: Seq[(Int, POp)] = outside
       .filter(op => isMAgg(op) || CostModel.inScope(op, p.nodes))
@@ -82,7 +82,7 @@ object PlanExtractor {
         val asked = new java.util.BitSet
         val ask: Materialized = e => pointAt.get(e).exists { i => asked.set(i); mat.get(i) }
         implicit val cache: ValidCache = mutable.Map.empty
-        val op = chooseBest(hop, memo, ask).fold[POp](PBasic.of(hop, cfg))(PFused)
+        val op = chooseBest(hop, memo, ask).fold[POp](PBasic.of(hop))(PFused)
         costs.put(op, scopeCost(op))
         val set = asked.clone().asInstanceOf[java.util.BitSet]
         set.and(mat)

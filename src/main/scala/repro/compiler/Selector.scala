@@ -64,14 +64,14 @@ object Selector {
     policy match {
       case FuseAll =>
         memo.pruneDominated(consumers.map { case (k, v) => k -> v.size })
-        PlanExtractor.extract(dagRoots, memo, Set.empty, cfg)
+        PlanExtractor.extract(dagRoots, memo, Set.empty)
       case FuseNoRedundancy =>
         memo.pruneDominated(consumers.map { case (k, v) => k -> v.size })
         val edges = for {
           (target, cons) <- consumers.toSeq if cons.size > 1 && memo.contains(target)
           g <- cons
         } yield (g.id, target)
-        PlanExtractor.extract(dagRoots, memo, edges.toSet, cfg)
+        PlanExtractor.extract(dagRoots, memo, edges.toSet)
       case CostBased =>
         val topo = Hop.collect(dagRoots)
         val idToIdx = topo.zipWithIndex.map { case (h, i) => h.id -> i }.toMap
@@ -89,7 +89,7 @@ object Selector {
               allEdges.map { case (c, t) => (idToIdx(c), idToIdx(t)) }.toSet)
             allEdges.toSet
         }
-        PlanExtractor.extract(dagRoots, memo, edges, cfg)
+        PlanExtractor.extract(dagRoots, memo, edges)
     }
   }
 
@@ -260,7 +260,7 @@ object Selector {
     while (j < (1L << n)) {
       val q = createAssignment(n, j)
       val edges = p.points.zipWithIndex.collect { case (pt, i) if q(i) => pt.edge }.toSet
-      val plan = PlanExtractor.extract(dagRoots, memo, edges, cfg)
+      val plan = PlanExtractor.extract(dagRoots, memo, edges)
       val c = CostModel.planCost(plan, cfg, Some(p.nodes))
       if (c < bestC) { bestC = c; best = edges }
       j += 1

@@ -133,8 +133,8 @@ final class ExecContext(
 
   /** Plan an execution for the given DAG roots (exposed for tests). */
   def compilePlan(hops: Seq[Hop]): ExecPlan = mode match {
-    case BaseMode  => ExecPlan(ExecPlan.build(hops, cfg)(_ => None))
-    case FusedMode => HandCoded.plan(hops, cfg)
+    case BaseMode  => ExecPlan(ExecPlan.build(hops)(_ => None))
+    case FusedMode => HandCoded.plan(hops)
     case GenMode(policy) =>
       val t0 = System.nanoTime()
       CodegenStats.dagsOptimized.incrementAndGet()
@@ -250,13 +250,10 @@ object Basic {
       case DistData(dm) => DistData(DistOps.unary(u.op, dm))
     }
     case b: BinaryHop => executeBinary(b, inputs(0), inputs(1))
-    case m: MatMulHop if !(op.inputs.head eq m.left) => inputs.head match {
-      // t(Y) %*% Z that the plan reads Y for (PBasic.of): one pass over Y's row blocks
-      case DistData(y) => LocalData(DistOps.matmulTransposeLeft(y, inputs(1).either))
-      case LocalData(y) => inputs(1) match {
-        case LocalData(z) => LocalData(LocalOps.matmulTransposeLeft(y, z))
-        case DistData(_)  => executeMatMul(LocalData(LocalOps.transpose(y)), inputs(1))
-      }
+    case m: MatMulHop if !(op.inputs.head eq m.left) => (inputs(0), inputs(1)) match {
+      // t(Y) %*% Z over Y itself (PBasic.of): no transposed copy of Y
+      case (LocalData(y), LocalData(z)) => LocalData(LocalOps.matmulTransposeLeft(y, z))
+      case (y, z)                       => LocalData(DistOps.matmulTransposeLeft(y.either, z.either))
     }
     case _: MatMulHop => executeMatMul(inputs(0), inputs(1))
     case _: TransposeHop => inputs.head match {

@@ -182,12 +182,21 @@ object DistOps {
   def matmulDistLocal(a: DistMatrix, w: MatrixBlock): DistMatrix =
     mapBlocks(a, Seq(LocalSide(w, rowAligned = false)), w.cols, 1.0)((_, b) => LocalOps.matmul(b(0), b(1)))
 
-  /** t(X) %*% Z for row-aligned Z (dist or local), in one pass over X's
-    * row blocks: per-block partial products reduced at the driver. */
-  def matmulTransposeLeft(x: DistMatrix, z: Either[DistMatrix, MatrixBlock]): MatrixBlock =
-    reduceBlocks(x, Seq(z.fold[BlockSide](DistSide(_), LocalSide(_, rowAligned = true))),
-      x.cols.toInt, z.fold(_.cols.toInt, _.cols), sumCombine)(
-      (_, b) => LocalOps.matmulTransposeLeft(b(0), b(1)))
+  /** t(Y) %*% Z for row-aligned Y and Z, at least one distributed, in one
+    * pass over the distributed one's row blocks (Y's if both are), the
+    * other joined or sliced per block: per-block partial products reduced
+    * at the driver, with no transposed copy of Y. */
+  def matmulTransposeLeft(y: Either[DistMatrix, MatrixBlock], z: Either[DistMatrix, MatrixBlock]): MatrixBlock = {
+    def cols(x: Either[DistMatrix, MatrixBlock]): Int = x.fold(_.cols.toInt, _.cols)
+    def side(x: Either[DistMatrix, MatrixBlock]): BlockSide = x.fold[BlockSide](DistSide, LocalSide(_, rowAligned = true))
+    (y, z) match {
+      case (Left(main), _) =>
+        reduceBlocks(main, Seq(side(z)), cols(y), cols(z), sumCombine)((_, b) => LocalOps.matmulTransposeLeft(b(0), b(1)))
+      case (_, Left(main)) =>
+        reduceBlocks(main, Seq(side(y)), cols(y), cols(z), sumCombine)((_, b) => LocalOps.matmulTransposeLeft(b(1), b(0)))
+      case _ => throw new IllegalArgumentException("t(Y) %*% Z of two local blocks: use LocalOps.matmulTransposeLeft")
+    }
+  }
 
   /** Broadcast-left matmul: small local L (k x n) times row-blocked R
     * (n x m): per-block partial products of L's column slice, reduced. */

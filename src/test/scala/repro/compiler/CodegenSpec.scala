@@ -277,6 +277,48 @@ class CodegenSpec extends SparkSpec {
       Seq((v %*% w.t) %*% x.t.abs)
     }
   }
+
+  // ---- a basic t(X) %*% Z reads X in place ------------------------------
+  // Local X as distributed: Base, Fused and Gen-FNR build no transposed
+  // copy of X for it.
+  private val xKinds = Seq("dense" -> dense(40, 12, 110), "sparse" -> sparse(40, 12, 111),
+    "compressed" -> CompressedBlock.compress(MatrixBlock.tabulate(40, 12)((i, j) => ((i * 7 + j) % 5).toDouble)))
+  for ((name, build) <- Seq[(String, (MX, MX, MX) => MX)](
+      "t(X) %*% y" -> ((x, _, y) => x.t %*% y), "t(X) %*% (w * y)" -> ((x, w, y) => x.t %*% (w * y))))
+    test(s"$name over local dense, sparse and compressed X equals Base and builds no basic t(X)") {
+      for ((kind, xb) <- xKinds) {
+        def dag(ctx: ExecContext): Seq[MX] =
+          Seq(build(ctx.bindLocal("X", xb), ctx.bindLocal("w", pos(40, 1, 112)), ctx.bindLocal("y", dense(40, 1, 113))))
+        TestLA.modesAgree(tol = 1e-8)(dag)
+        for (mode <- Seq(BaseMode, FusedMode, GenMode(FuseNoRedundancy))) {
+          val ctx = new ExecContext(mode)
+          val plan = ctx.compilePlan(dag(ctx).map(_.hop))
+          assert(!plan.ops.exists { case PBasic(_: TransposeHop, _) => true; case _ => false }, s"$kind ${mode.label}: $plan")
+        }
+      }
+    }
+
+  // ---- a one-column main row is a per-row scalar ---------------------------
+  // A Row operator over v (16 x 1) reads one value per row; read as a row
+  // vector, a binary op with the 66-wide outer-product row ran past it.
+  private def overColumnMain(build: (ExecContext, MX, MX) => MX): Unit =
+    for ((format, vb) <- Seq("dense" -> dense(16, 1, 107), "sparse" -> MatrixBlock.rand(16, 1, 0.5, 108, min = -1, max = 1))) {
+      def dag(ctx: ExecContext): Seq[MX] =
+        Seq(build(ctx, ctx.bindLocal("v", vb), ctx.bindLocal("y", dense(66, 1, 109))))
+      assert(vb.isSparseFormat == (format == "sparse"))
+      for ((label, plan) <- TestLA.genPlans(dag)) assert(plan.ops.exists {
+        case PFused(c) => c.tpe == RowTpl && c.inputs.head.cols == 1
+        case _         => false
+      }, s"$format $label: $plan")
+      TestLA.modesAgree()(dag)
+    }
+  test("(v %*% t(y)) + v with v 16x1, y 66x1 equals Base, dense and sparse v") {
+    overColumnMain((_, v, y) => (v %*% y.t) + v)
+  }
+  test("rowMins((v %*% t(y)) > v) with v 16x1, y 66x1 equals Base, dense and sparse v") {
+    overColumnMain((ctx, v, y) => new MX(new BinaryHop(Ops.Gt, (v %*% y.t).hop, v.hop))(ctx).rowMins)
+  }
+
   test("rowSums(t(X)) %*% colSums(abs(t(X))) with X 40x20 equals Base (20x40)") {
     TestLA.modesAgree(tol = 1e-8) { implicit ctx =>
       val x = ctx.bindLocal("X", dense(40, 20, 93))

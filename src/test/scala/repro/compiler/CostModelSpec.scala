@@ -82,7 +82,7 @@ class CostModelSpec extends SparkSpec {
     * the wider X. */
   private def rowOverX(x: Hop, v: Hop, w: Hop, f: Hop => Hop = identity): CPlan = {
     val roots = Seq(new BinaryHop(Ops.Mult, v, new MatMulHop(f(x), w)))
-    PlanExtractor.extract(roots, Explorer.explore(roots), Set.empty, cfg).ops match {
+    PlanExtractor.extract(roots, Explorer.explore(roots), Set.empty).ops match {
       case Seq(PFused(c)) if c.tpe == RowTpl =>
         assert(c.inputs.map(_.id).toSet == Set(v.id, x.id, w.id), c.inputs)
         assert(c.inputs.head eq x, s"bound main ${c.inputs.head}, expected $x")

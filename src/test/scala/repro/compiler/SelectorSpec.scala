@@ -65,7 +65,7 @@ class SelectorSpec extends SparkSpec {
     for (p <- parts if p.points.nonEmpty) {
       val best = Selector.enumeratePartition(roots, memo, p, c.cfg)
       val (bruteEdges, bruteCost) = Selector.bruteForcePartition(roots, memo, p, c.cfg)
-      val enumPlan = PlanExtractor.extract(roots, memo, best, c.cfg)
+      val enumPlan = PlanExtractor.extract(roots, memo, best)
       val enumCost = CostModel.planCost(enumPlan, c.cfg, Some(p.nodes))
       assert(math.abs(enumCost - bruteCost) <= 1e-9 * math.max(1.0, bruteCost),
         s"enum cost $enumCost != brute $bruteCost (edges $best vs $bruteEdges)")
@@ -87,7 +87,7 @@ class SelectorSpec extends SparkSpec {
     for (p <- parts if p.points.nonEmpty) {
       val best = Selector.enumeratePartition(roots, memo, p, c.cfg)
       val (_, bruteCost) = Selector.bruteForcePartition(roots, memo, p, c.cfg)
-      val enumCost = CostModel.planCost(PlanExtractor.extract(roots, memo, best, c.cfg), c.cfg, Some(p.nodes))
+      val enumCost = CostModel.planCost(PlanExtractor.extract(roots, memo, best), c.cfg, Some(p.nodes))
       assert(math.abs(enumCost - bruteCost) <= 1e-9 * math.max(1.0, bruteCost))
     }
   }
@@ -167,7 +167,7 @@ class SelectorSpec extends SparkSpec {
   test("partition-local plan cost equals the cost of the extracted plan") {
     def check(roots: Seq[Hop], memo: MemoTable, p: PlanPartition, mat: BitSet): Unit = {
       val local = new PlanExtractor.PartitionCost(roots, memo, p, CostConfig())
-      val plan = PlanExtractor.extract(roots, memo, mat.unsorted.map(p.points(_).edge), CostConfig())
+      val plan = PlanExtractor.extract(roots, memo, mat.unsorted.map(p.points(_).edge))
       val expect = CostModel.planCost(plan, CostConfig(), Some(p.nodes))
       val got = local(mat)
       assert(math.abs(got - expect) <= 1e-12 * expect, s"$mat: $got != $expect")
@@ -187,7 +187,7 @@ class SelectorSpec extends SparkSpec {
         check(roots, memo, p, BitSet.fromBitMask(Array(j)))
     }
     val merged = cseMergeDAG(ctx)
-    assert(PlanExtractor.extract(merged, Explorer.explore(merged), Set.empty, CostConfig()).ops.exists {
+    assert(PlanExtractor.extract(merged, Explorer.explore(merged), Set.empty).ops.exists {
       case PFused(c) => c.roots.size == 2
       case _         => false
     })

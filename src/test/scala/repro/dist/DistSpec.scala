@@ -134,7 +134,7 @@ class DistSpec extends SparkSpec {
     val zL = MatrixBlock.rand(100, 3, 1.0, 7, min = -1, max = 1)
     withDist(dist(xDense)) { a =>
       withDist(dist(zL)) { z =>
-        val got = DistOps.matmulTransposeLeft(a, Left(z))
+        val got = DistOps.matmulTransposeLeft(Left(a), Left(z))
         val expect = LocalOps.matmul(LocalOps.transpose(xDense), zL)
         assert(MatrixBlock.maxAbsDiff(got, expect) < 1e-9)
       }
@@ -143,7 +143,7 @@ class DistSpec extends SparkSpec {
   test("distributed t(X) %*% Z, Z local broadcast") {
     withDist(dist(xSparse)) { a =>
       val zL = MatrixBlock.rand(100, 3, 1.0, 8, min = -1, max = 1)
-      val got = DistOps.matmulTransposeLeft(a, Right(zL))
+      val got = DistOps.matmulTransposeLeft(Left(a), Right(zL))
       val expect = LocalOps.matmul(LocalOps.transpose(xSparse), zL)
       assert(MatrixBlock.maxAbsDiff(got, expect) < 1e-9)
     }
@@ -330,6 +330,24 @@ class DistSpec extends SparkSpec {
           assert(MatrixBlock.maxAbsDiff(got, LocalOps.matmul(LocalOps.transpose(xDense), zLocal)) < 1e-9)
           if (zLocal eq yL) assert(seen.shuffleBytes == 0, "t(X) %*% y over cached X must not shuffle")
         }
+      }
+    }
+  }
+
+  // KMeans' a.t %*% X: the local A is sliced to each row block of X
+  test("t(A) %*% X with A local 100x5 and X distributed (block 16, dense and sparse) equals local, with no basic transpose (all modes)") {
+    val aL = MatrixBlock.rand(100, 5, 1.0, 36, min = -1, max = 1)
+    for (xL <- Seq(xDense, xSparse)) withDist(DistOps.fromLocal(spark, xL, 16)) { dm =>
+      val expect = LocalOps.matmul(LocalOps.transpose(aL), xL)
+      for (mode <- TestLA.allModes) {
+        val ctx = distCtx(mode)
+        implicit val c: ExecContext = ctx
+        val (a, x) = (ctx.bindLocal("A", aL), ctx.bindDist("X", dm))
+        val atx = a.t %*% x
+        val plan = ctx.compilePlan(Seq(atx.hop))
+        assert(!plan.ops.exists { case PBasic(_: TransposeHop, _) => true; case _ => false }, s"${mode.label}: $plan")
+        if (mode == BaseMode) assert(plan.toString.contains(s"basic ${atx.hop} inputs=${a.hop},${x.hop}"), plan)
+        assert(MatrixBlock.maxAbsDiff(atx.eval().toLocal, expect) < 1e-9, mode.label)
       }
     }
   }

@@ -72,15 +72,18 @@ class ParallelSpec extends SparkSpec {
     }
   }
 
+  private def assertTransposeLeft(name: String, y: MatrixBlock, z: MatrixBlock): Unit = {
+    assertSplits(y.rows, (if (y.isSparseFormat) y.nnz else y.numCells) * z.cols)
+    assertClose(LocalOps.matmulTransposeLeft(y, z), naiveMatmul(LocalOps.transpose(y), z), name)
+  }
   test("matmulTransposeLeft over dense x dense, sparse x dense and dense x sparse equals the triple loop") {
-    val cases = Seq(
-      ("dense x dense", rand(3000, 50, 1.0, 9), rand(3000, 20, 1.0, 10)),
-      ("sparse x dense", rand(3000, 200, 0.1, 11), rand(3000, 40, 1.0, 12)),
-      ("dense x sparse", rand(3000, 50, 1.0, 13), rand(3000, 40, 0.2, 14)))
-    for ((name, y, z) <- cases) {
-      assertSplits(y.rows, (if (y.isSparseFormat) y.nnz else y.numCells) * z.cols)
-      assertClose(LocalOps.matmulTransposeLeft(y, z), naiveMatmul(LocalOps.transpose(y), z), name)
-    }
+    assertTransposeLeft("dense x dense", rand(3000, 50, 1.0, 9), rand(3000, 20, 1.0, 10))
+    assertTransposeLeft("sparse x dense", rand(3000, 200, 0.1, 11), rand(3000, 40, 1.0, 12))
+    assertTransposeLeft("dense x sparse", rand(3000, 50, 1.0, 13), rand(3000, 40, 0.2, 14))
+  }
+  // the distributed t(Y) %*% Z hands it sparse blocks of both operands
+  test("matmulTransposeLeft over sparse x sparse equals the triple loop") {
+    assertTransposeLeft("sparse x sparse", rand(3000, 200, 0.1, 15), rand(3000, 40, 0.2, 16))
   }
 
   // ---- skeletons: every variant equals Base in all five modes ------------
