@@ -2,6 +2,7 @@ package repro.compiler
 
 import scala.collection.mutable
 import repro.core._
+import repro.runtime.{Aggregate, Output, RowAligned}
 import repro.runtime.Ops._
 
 /** One operator of a final execution plan. */
@@ -84,8 +85,13 @@ object ExecPlan {
   }
 }
 
+/** Output variant of a fused operator (paper Table 1), one per CPlan: the
+  * operator's template is its variant's, and [[CPlan.output]] maps it to
+  * what the operator writes. */
+sealed trait Variant { def tpe: TemplateType }
+
 /** Row template output variants (paper Table 1). */
-sealed trait RowVariant
+sealed trait RowVariant extends Variant { def tpe: TemplateType = RowTpl }
 case object RowNoAgg   extends RowVariant // output rowDim x m
 case object RowRowAgg  extends RowVariant // output rowDim x 1
 case object RowColAgg  extends RowVariant // output 1 x m, accumulated
@@ -93,14 +99,18 @@ case object RowFullAgg extends RowVariant // scalar
 case object RowColAggT extends RowVariant // t(X) %*% Z: output cols(X) x cols(Z) (COL_AGG_B1_T)
 
 /** Cell template output variants (paper Table 1). A full aggregate is a
-  * one-root MAgg operator, so a Cell operator never yields a scalar. */
-sealed trait CellVariant
+  * one-root [[MultiAgg]] operator, so a Cell operator never yields a scalar. */
+sealed trait CellVariant extends Variant { def tpe: TemplateType = CellTpl }
 case object CellNoAgg extends CellVariant                    // output n x m
 final case class CellRowAgg(f: AggFunc) extends CellVariant // output n x 1
 final case class CellColAgg(f: AggFunc) extends CellVariant // output 1 x m
 
+/** MAgg template: k full aggregates over shared inputs, `funcs(k)` that
+  * of root k, computed in one scan (paper Fig. 1(c)); output 1 x k. */
+final case class MultiAgg(funcs: IndexedSeq[AggFunc]) extends Variant { def tpe: TemplateType = MAggTpl }
+
 /** Outer template output variants (paper Table 1). */
-sealed trait OuterVariant
+sealed trait OuterVariant extends Variant { def tpe: TemplateType = OuterTpl }
 case object OuterNoAgg   extends OuterVariant // dense chain output (rare)
 case object OuterFullAgg extends OuterVariant // sum over chain
 case object OuterRightMM extends OuterVariant // chain %*% W
@@ -110,22 +120,19 @@ case object OuterLeftMM  extends OuterVariant // t(chain) %*% W
   * sub-DAG plus resolved data binding — ordered inputs with the main
   * (template-bound) input first, the output variant, sparse-safety of the
   * chain w.r.t. the main input — and what [[Codegen.emit]] generated for
-  * it, the only record of what the operator reads. Built once, when
+  * it, the only record of what the operator reads. Its one `variant`
+  * gives its template and, through [[output]], what it writes. Built once, when
   * [[PlanExtractor]] extracts the operator; the cost model, code
   * generation and the distributed runtime all read it, none re-derives it.
   * `sparseSafe` alone decides whether a skeleton iterates only the
   * non-zeros of a sparse main input; every Outer CPlan is sparse-safe.
   */
 final case class CPlan(
-    tpe: TemplateType,
+    variant: Variant,
     roots: IndexedSeq[Hop],          // >1 only for MAgg
     covered: Set[Long],
     inputs: IndexedSeq[Hop],         // main input at index 0 (if any matrix input)
     sparseSafe: Boolean,
-    rowVariant: Option[RowVariant],
-    outerVariant: Option[OuterVariant],
-    cellVariant: Option[CellVariant],
-    maggFuncs: IndexedSeq[AggFunc],
     rowDim: Long,
     chainRoot: Hop,                  // cell-wise part under the aggregate or closing matmult (MAgg: first root's)
     wIdx: Int,                       // input index of an Outer closing matmult's W, else -1
@@ -135,6 +142,30 @@ final case class CPlan(
     scattersMainRow: Boolean = false, // Row: the sparse-row variant scatters the main row into a dense one
 ) {
   def root: Hop = roots.head
+  def tpe: TemplateType = variant.tpe
+
+  /** What the operator writes, from its variant and root: the one mapping
+    * from variant to output shape and combine, read by the skeletons over
+    * row ranges and by [[repro.dist.DistTemplates]] over row blocks. Row
+    * and Outer aggregates are sums. */
+  def output: Output = {
+    val (rows, cols, sum) = (root.rows.toInt, root.cols.toInt, (_: Int) => SumAgg)
+    variant match {
+      case CellNoAgg     => RowAligned(cols, root.sparsity)
+      case CellRowAgg(_) => RowAligned(1, 1.0)
+      case CellColAgg(f) => Aggregate(1, cols, _ => f)
+      case MultiAgg(fs)  => Aggregate(1, fs.length, fs)
+      case RowNoAgg      => RowAligned(cols, 1.0)
+      case RowRowAgg     => RowAligned(1, 1.0)
+      case RowColAgg     => Aggregate(1, cols, sum)
+      case RowFullAgg    => Aggregate(1, 1, sum)
+      case RowColAggT    => Aggregate(rows, cols, sum)
+      case OuterNoAgg    => RowAligned(cols, root.sparsity)
+      case OuterRightMM  => RowAligned(cols, 1.0)
+      case OuterFullAgg  => Aggregate(1, 1, sum)
+      case OuterLeftMM   => Aggregate(rows, cols, sum)
+    }
+  }
 
   /** A short hash of the generated sources: plan dumps show which code runs. */
   def sourceHash: String = f"${scala.util.hashing.MurmurHash3.seqHash(sources)}%08x"
@@ -184,24 +215,23 @@ object CPlan {
   }
 
   private def constructCell(root: Hop, covered: Set[Long], inputs: IndexedSeq[Hop]): CPlan = {
-    val (tpe, variant, funcs) = root match {
+    val variant = root match {
       case a: AggHop => a.dir match {
-        case FullDir => (MAggTpl, None, IndexedSeq(a.func))
-        case RowDir  => (CellTpl, Some(CellRowAgg(a.func)), IndexedSeq.empty)
-        case ColDir  => (CellTpl, Some(CellColAgg(a.func)), IndexedSeq.empty)
+        case FullDir => MultiAgg(IndexedSeq(a.func))
+        case RowDir  => CellRowAgg(a.func)
+        case ColDir  => CellColAgg(a.func)
       }
-      case _ => (CellTpl, Some(CellNoAgg), IndexedSeq.empty)
+      case _ => CellNoAgg
     }
-    val chainRoot = chainOf(root, tpe, covered)
+    val chainRoot = chainOf(root, variant.tpe, covered)
     // main input: the sparse driver; else the largest full-dimension input
     val driver = sparseDriver(chainRoot, covered, inputs)
     val main = driver
       .orElse(fullDim(inputs, chainRoot).sortBy(-_.numCells).headOption)
       .getOrElse(inputs.maxByOption(_.numCells).getOrElse(inputs.head))
     val ordered = main +: inputs.filterNot(_ eq main)
-    CPlan(tpe, IndexedSeq(root), covered, ordered,
+    CPlan(variant, IndexedSeq(root), covered, ordered,
       sparseSafe = driver.isDefined,
-      rowVariant = None, outerVariant = None, cellVariant = variant, maggFuncs = funcs,
       rowDim = chainRoot.rows, chainRoot = chainRoot, wIdx = -1)
   }
 
@@ -228,11 +258,9 @@ object CPlan {
       .orElse(inputs.find(in => in.rows == rowDim && in.numCells > 1))
       .getOrElse(inputs.head)
     val ordered = main +: inputs.filterNot(_ eq main)
-    CPlan(RowTpl, IndexedSeq(root), covered, ordered,
+    CPlan(variant, IndexedSeq(root), covered, ordered,
       sparseSafe = false, // Row binds to whole rows; sparse rows handled by the skeleton
-      rowVariant = Some(variant), outerVariant = None, cellVariant = None,
-      maggFuncs = IndexedSeq.empty, rowDim = rowDim, chainRoot = chainOf(root, RowTpl, covered),
-      wIdx = -1)
+      rowDim = rowDim, chainRoot = chainOf(root, RowTpl, covered), wIdx = -1)
   }
 
   /** The cell-wise chain of a fused operator: the part under its aggregate
@@ -278,10 +306,9 @@ object CPlan {
         (if (m.left eq chainRoot) OuterRightMM else OuterLeftMM, w)
       case _ => (OuterNoAgg, -1)
     }
-    Some(CPlan(OuterTpl, IndexedSeq(root), covered, ordered,
+    Some(CPlan(variant, IndexedSeq(root), covered, ordered,
       sparseSafe = true, opening = Some(opening),
-      rowVariant = None, outerVariant = Some(variant), cellVariant = None,
-      maggFuncs = IndexedSeq.empty, rowDim = chainRoot.rows, chainRoot = chainRoot, wIdx = wIdx))
+      rowDim = chainRoot.rows, chainRoot = chainRoot, wIdx = wIdx))
   }
 
   /** Merge k one-root MAgg CPlans into one multi-aggregate CPlan, emitted
@@ -289,12 +316,10 @@ object CPlan {
   private[compiler] def multiAgg(aggs: Seq[CPlan]): CPlan = {
     val main = aggs.head.inputs.head
     val inputs = (main +: aggs.flatMap(_.inputs).filterNot(_ eq main).distinct).toIndexedSeq
-    Codegen.emit(CPlan(MAggTpl, aggs.map(_.root).toIndexedSeq,
+    Codegen.emit(CPlan(MultiAgg(aggs.map(_.root.asInstanceOf[AggHop].func).toIndexedSeq), aggs.map(_.root).toIndexedSeq,
       aggs.flatMap(_.covered).toSet,
       inputs,
       sparseSafe = aggs.forall(c => isSparseSafe(c.chainRoot, c.covered, main)),
-      rowVariant = None, outerVariant = None, cellVariant = None,
-      maggFuncs = aggs.flatMap(_.maggFuncs).toIndexedSeq,
       rowDim = main.rows, chainRoot = aggs.head.chainRoot, wIdx = -1))
   }
 

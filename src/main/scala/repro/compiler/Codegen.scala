@@ -52,12 +52,11 @@ object Codegen {
       CodegenStats.compileNanos.addAndGet(System.nanoTime() - t0)
       CodegenStats.operatorsCompiled.incrementAndGet()
     } else CodegenStats.planCacheHits.incrementAndGet()
-    cplan.tpe match {
-      case CellTpl  => new SpoofCellwise(cplan.cellVariant.get, cplan.sparseSafe, ExecRef(sources.head))
-      case MAggTpl  => new SpoofMultiAgg(cplan.maggFuncs, cplan.sparseSafe, sources.map(ExecRef[CellExec]))
-      case RowTpl   => new SpoofRowwise(cplan.rowVariant.get, cplan.root.rows.toInt, cplan.root.cols.toInt,
-        cplan.byRow, ExecRef(sources.head))
-      case OuterTpl => new SpoofOuterProduct(cplan.outerVariant.get, cplan.wIdx, ExecRef(sources.head))
+    cplan.variant match {
+      case v: CellVariant  => new SpoofCellwise(v, cplan.output, cplan.sparseSafe, ExecRef(sources.head))
+      case MultiAgg(funcs) => new SpoofMultiAgg(funcs, cplan.sparseSafe, sources.map(ExecRef[CellExec]))
+      case _: RowVariant   => new SpoofRowwise(cplan.output, cplan.byRow, ExecRef(sources.head))
+      case v: OuterVariant => new SpoofOuterProduct(v, cplan.output, cplan.wIdx, ExecRef(sources.head))
     }
   }
 
@@ -71,11 +70,11 @@ object Codegen {
     * Throws [[CannotEmit]] where it cannot generate correct code. */
   private[compiler] def emit(draft: CPlan): CPlan = {
     val reads = new Reads
-    val sources = draft.tpe match {
-      case CellTpl  => IndexedSeq(cellSource(draft, draft.chainRoot, reads))
-      case MAggTpl  => draft.roots.map(r => cellSource(draft, r.asInstanceOf[AggHop].in, reads))
-      case RowTpl   => IndexedSeq(rowSource(draft, reads))
-      case OuterTpl => IndexedSeq(outerSource(draft, reads))
+    val sources = draft.variant match {
+      case _: CellVariant  => IndexedSeq(cellSource(draft, draft.chainRoot, reads))
+      case MultiAgg(_)     => draft.roots.map(r => cellSource(draft, r.asInstanceOf[AggHop].in, reads))
+      case v: RowVariant   => IndexedSeq(rowSource(draft, v, reads))
+      case v: OuterVariant => IndexedSeq(outerSource(draft, v, reads))
     }
     draft.copy(sources = sources, byRow = draft.inputs.indices.map(reads.byRow), scattersMainRow = reads.scatters)
   }
@@ -249,7 +248,7 @@ object Codegen {
     * non-zeros; a one-column main row is a per-row scalar in both. Each
     * writes its row's result into the output `c`. The skeleton iterates the
     * main input's rows, so they must be the operator's. */
-  private def rowSource(cplan: CPlan, reads: Reads): String = {
+  private def rowSource(cplan: CPlan, variant: RowVariant, reads: Reads): String = {
     if (cplan.inputs(0).rows != cplan.rowDim) refuse(s"main input ${cplan.inputs(0)} not row-aligned")
     val column = cplan.inputs(0).cols == 1
     val variants = Seq(
@@ -257,7 +256,7 @@ object Codegen {
       new RowSrc("S", cplan, reads, if (column) Scal("(alen > 0 ? avals[apos] : 0.0)") else SparseRow) ->
         "double[] avals, int[] aix, int apos, int alen")
     val methods = variants.map { case (src, params) =>
-      emitRowOutput(src)
+      emitRowOutput(src, variant)
       s"  public void genexec($params, MatrixBlock[] b, double[] c, int rix, int len) {\n" +
         src.body.toString + "  }\n"
     }
@@ -266,10 +265,10 @@ object Codegen {
 
   /** Emit the row's result and its write into `c`, as the variant says.
     * Column and full aggregates add up the rows' results: only sums do. */
-  private def emitRowOutput(src: RowSrc): Unit = {
+  private def emitRowOutput(src: RowSrc, variant: RowVariant): Unit = {
     val cplan = src.cplan
     def emit(h: Hop) = emitRow(h, src)
-    cplan.rowVariant.get match {
+    variant match {
       case RowColAgg | RowFullAgg if cplan.root.asInstanceOf[AggHop].func != SumAgg =>
         refuse(s"Row operator rooted at a non-sum aggregate ${cplan.root}")
       case RowNoAgg =>
@@ -394,10 +393,10 @@ object Codegen {
   /** The Outer skeleton reads the driver X (index 0) and U (index 1) by
     * row and V (index 2) whole; W, t(chain) %*% W's by row and chain %*%
     * W's whole. */
-  private def outerSource(cplan: CPlan, reads: Reads): String = {
+  private def outerSource(cplan: CPlan, variant: OuterVariant, reads: Reads): String = {
     reads(1, byRow = true)
     reads(2, byRow = false)
-    if (cplan.wIdx >= 0) reads(cplan.wIdx, cplan.outerVariant.contains(OuterLeftMM))
+    if (cplan.wIdx >= 0) reads(cplan.wIdx, variant == OuterLeftMM)
     val src = new Src(cplan, reads)
     src.line("int R_ = b[2].cols();") // rank, read from V at runtime
     val root = emitOuter(cplan.chainRoot, cplan.opening.get, src)

@@ -117,23 +117,32 @@ object HandCoded {
       // weight vectors fit the driver
       case DistData(x)  => LocalData(mmchainDist(x, inputs(2).toLocal, Some(inputs(1).toLocal)))
     }
-    case HSumSq => inputs.head match {
-      case LocalData(x) => LocalData(sumSqLocal(x))
-      case DistData(x)  => LocalData(DistOps.reduceBlocks(x, Nil, 1, 1, DistOps.sumCombine)((_, b) => sumSqLocal(b(0))))
-    }
+    case HSumSq => blockwise(inputs, Nil, Aggregate(1, 1, _ => SumAgg))(b => sumSqLocal(b(0)))
     case HSumProd => (inputs(0), inputs(1)) match {
       case (LocalData(x), LocalData(y)) => LocalData(sumProdLocal(x, y))
       case (DistData(x), y)             => LocalData(sumProdDist(x, y))
       case (x, DistData(y))             => LocalData(sumProdDist(y, x)) // sum(X * Y) is symmetric
     }
-    case HWSLoss =>
-      LocalData(wsloss(inputs(0).toLocal, inputs(1).toLocal.toDense, inputs(2).toLocal.toDense))
-    case HWOuterRight =>
-      LocalData(wouter(inputs(0).toLocal, inputs(1).toLocal.toDense, inputs(2).toLocal.toDense,
-        inputs(3).toLocal.toDense, left = false))
-    case HWOuterLeft =>
-      LocalData(wouter(inputs(0).toLocal, inputs(1).toLocal.toDense, inputs(2).toLocal.toDense,
-        inputs(3).toLocal.toDense, left = true))
+    // X and U read by row, V whole, W whole (right) or by row (left)
+    case HWSLoss => blockwise(inputs, Seq(true, false), Aggregate(1, 1, _ => SumAgg))(b => wsloss(b(0), b(1), b(2)))
+    case HWOuterRight => blockwise(inputs, Seq(true, false, false), RowAligned(inputs(3).cols.toInt, 1.0))(
+      b => wouter(b(0), b(1), b(2), b(3), left = false))
+    case HWOuterLeft => blockwise(inputs, Seq(true, false, true),
+      Aggregate(inputs(0).cols.toInt, inputs(3).cols.toInt, _ => SumAgg))(b => wouter(b(0), b(1), b(2), b(3), left = true))
+  }
+
+  /** The kernel `f` over X and its sides, side `k` read by row if
+    * `byRow(k)`, else whole: over a local X once, over a distributed one
+    * per row block, writing `out`. */
+  private def blockwise(inputs: Seq[MatrixData], byRow: Seq[Boolean], out: Output)(
+      f: IndexedSeq[MatrixBlock] => MatrixBlock): MatrixData = inputs.head match {
+    case LocalData(x) => LocalData(f(x +: inputs.tail.map(_.toLocal).toIndexedSeq))
+    case DistData(x) =>
+      val sides = inputs.tail.zip(byRow).map { case (d, r) => BlockSide(d.either, r) }
+      out match {
+        case RowAligned(cols, sparsity)   => DistData(DistOps.mapBlocks(x, sides, cols, sparsity)((_, b) => f(b)))
+        case Aggregate(rows, cols, funcs) => LocalData(DistOps.reduceBlocks(x, sides, rows, cols, funcs)((_, b) => f(b)))
+      }
   }
 
   /** t(X) %*% (w? * (X %*% v)) in a single pass over X. */
@@ -165,12 +174,11 @@ object HandCoded {
 
   def mmchainDist(x: DistMatrix, v: MatrixBlock, w: Option[MatrixBlock]): MatrixBlock =
     DistOps.reduceBlocks(x, LocalSide(v, rowAligned = false) +: w.map(LocalSide(_, rowAligned = true)).toSeq,
-      x.cols.toInt, 1, DistOps.sumCombine)((_, b) => mmchainLocal(b(0), b(1), b.lift(2)))
+      x.cols.toInt, 1, _ => SumAgg)((_, b) => mmchainLocal(b(0), b(1), b.lift(2)))
 
   /** sum(X * Y) with X distributed and Y (same shape) distributed or local. */
   private def sumProdDist(x: DistMatrix, y: MatrixData): MatrixBlock =
-    DistOps.reduceBlocks(x, Seq(y.either.fold(DistSide, LocalSide(_, rowAligned = true))), 1, 1, DistOps.sumCombine)(
-      (_, b) => sumProdLocal(b(0), b(1)))
+    DistOps.reduceBlocks(x, Seq(BlockSide(y.either, byRow = true)), 1, 1, _ => SumAgg)((_, b) => sumProdLocal(b(0), b(1)))
 
   def sumSqLocal(x: MatrixBlock): MatrixBlock = {
     var acc = 0.0
@@ -217,7 +225,8 @@ object HandCoded {
   }
 
   /** sum(((X != 0) * (U %*% t(V)) - X)^2) over the non-zeros of X. */
-  def wsloss(x: MatrixBlock, u: DenseBlock, v: DenseBlock): MatrixBlock = {
+  def wsloss(x: MatrixBlock, u0: MatrixBlock, v0: MatrixBlock): MatrixBlock = {
+    val (u, v) = (u0.toDense, v0.toDense)
     val r = u.cols
     var acc = 0.0
     foreachNz(x) { (i, j, xij) =>
@@ -228,7 +237,8 @@ object HandCoded {
   }
 
   /** ((X != 0) * (U %*% t(V))) %*% W (right) or its transpose-left variant. */
-  def wouter(x: MatrixBlock, u: DenseBlock, v: DenseBlock, w: DenseBlock, left: Boolean): MatrixBlock = {
+  def wouter(x: MatrixBlock, u0: MatrixBlock, v0: MatrixBlock, w0: MatrixBlock, left: Boolean): MatrixBlock = {
+    val (u, v, w) = (u0.toDense, v0.toDense, w0.toDense)
     val r = u.cols
     val outRows = if (left) x.cols else x.rows
     val out = new Array[Double](outRows * w.cols)

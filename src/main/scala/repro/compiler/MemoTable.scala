@@ -31,7 +31,6 @@ final class MemoTable {
   def entries(id: Long): Seq[MemoEntry] = groups.get(id).map(_.toSeq).getOrElse(Seq.empty)
   def hop(id: Long): Hop = hopsById(id)
   def groupIds: Seq[Long] = groups.keys.toSeq.filter(contains)
-  def size: Int = groups.valuesIterator.map(_.size).sum
 
   /** Register hop metadata (every visited operator, entries or not) so
     * partition analysis and costing can resolve input/root sizes. */

@@ -290,7 +290,8 @@ object Basic {
     case (LocalData(lb), LocalData(rb)) => LocalData(LocalOps.matmul(lb, rb))
     case (DistData(ld), LocalData(rb))  => DistData(DistOps.matmulDistLocal(ld, rb))
     case (LocalData(lb), DistData(rd))  => LocalData(DistOps.matmulLocalDist(lb, rd))
-    case (DistData(_), DistData(_)) =>
-      throw new UnsupportedOperationException("distributed-distributed matmult (not needed: rhs is narrow/local)")
+    case (DistData(ld), DistData(rd)) =>
+      throw new UnsupportedOperationException(
+        s"unsupported operator: matmult of two distributed operands, ${ld.rows}x${ld.cols} %*% ${rd.rows}x${rd.cols}")
   }
 }

@@ -211,7 +211,7 @@ object LocalOps {
         VectorPrims.vectMultAdd(zs.vals, yij, out, zs.colIdx, p, j * m, zs.rowPtr(i + 1) - p)
       }
     val work = (if (ys == null) y.numCells else ys.nnz) * m
-    new DenseBlock(k, m, RowRanges.fill(y.rows, work, k * m, disjoint = false) { (rl, ru, out) =>
+    RowRanges.fill(y.rows, work, Aggregate(k, m, _ => SumAgg)) { (rl, ru, out) =>
       var i = rl
       while (i < ru) {
         if (ys == null) {
@@ -223,7 +223,7 @@ object LocalOps {
         }
         i += 1
       }
-    })
+    }
   }
 
   def transpose(a: MatrixBlock): MatrixBlock = a match {

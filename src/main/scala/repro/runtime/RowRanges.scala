@@ -2,7 +2,20 @@ package repro.runtime
 
 import java.util.concurrent.RecursiveTask
 import org.apache.spark.TaskContext
-import repro.runtime.Ops.{AggFunc, SumAgg}
+import repro.runtime.Ops.AggFunc
+
+/** What a kernel over the rows of its main input writes, the same per row
+  * range of a local block and per row block of a distributed one: for a
+  * fused operator, [[repro.compiler.CPlan.output]] derives it from the
+  * operator's variant. */
+sealed trait Output extends Serializable
+/** Each main-input row yields one output row of `cols` values, with the
+  * given sparsity: row ranges and row blocks each write their own rows. */
+final case class RowAligned(cols: Int, sparsity: Double) extends Output
+/** A `rows x cols` aggregate: each row range or row block yields a
+  * partial, and the partials combine position by position, position `i`
+  * with `funcs(i)`, in range or block order ([[RowRanges.combine]]). */
+final case class Aggregate(rows: Int, cols: Int, funcs: Int => AggFunc) extends Output
 
 /** Multi-threaded local kernels and skeletons (paper §2.2): a kernel runs
   * its one loop body over row ranges [rl, ru) of its main input, on the
@@ -41,23 +54,28 @@ object RowRanges {
 
   def foreach(n: Int, work: Long)(body: (Int, Int) => Unit): Unit = { map(n, work)(body); () }
 
-  /** The `len` values that `body(rl, ru, out)` writes over the ranges of
-    * `split(n, work)`. Ranges that write `disjoint` values, their own
-    * rows, share one array; other ranges each add into a zeroed partial
-    * of their own, and the partials are summed in range order. */
-  def fill(n: Int, work: Long, len: Int, disjoint: Boolean)(body: (Int, Int, Array[Double]) => Unit): Array[Double] =
-    if (disjoint) {
-      val out = new Array[Double](len)
-      foreach(n, work)(body(_, _, out))
-      out
-    } else combine(map(n, work) { (rl, ru) =>
-      val out = new Array[Double](len)
-      body(rl, ru, out)
-      out
-    }, _ => SumAgg)
+  /** The output `out` that `body(rl, ru, values)` writes over the ranges
+    * of `split(n, work)`, `n` rows of the main input. Ranges of a
+    * [[RowAligned]] output write their own rows of one shared array; each
+    * range of an [[Aggregate]] folds into a zeroed partial of its own (a
+    * `body` that folds other than sums sets the initial values), and the
+    * partials are combined in range order. */
+  def fill(n: Int, work: Long, out: Output)(body: (Int, Int, Array[Double]) => Unit): DenseBlock = out match {
+    case RowAligned(cols, _) =>
+      val values = new Array[Double](n * cols)
+      foreach(n, work)(body(_, _, values))
+      new DenseBlock(n, cols, values)
+    case Aggregate(rows, cols, funcs) =>
+      new DenseBlock(rows, cols, combine(map(n, work) { (rl, ru) =>
+        val partial = new Array[Double](rows * cols)
+        body(rl, ru, partial)
+        partial
+      }, funcs))
+  }
 
-  /** The partials combined position by position in range order, position
-    * `i` with `funcs(i)`, into the first. */
+  /** The partials combined position by position in the order given, row
+    * ranges' or row blocks', position `i` with `funcs(i)`, into the first:
+    * the one combine of every partial aggregate, local or distributed. */
   def combine(partials: IndexedSeq[Array[Double]], funcs: Int => AggFunc): Array[Double] = {
     val p = partials.head
     partials.iterator.drop(1).foreach { q =>

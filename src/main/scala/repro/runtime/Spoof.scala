@@ -19,14 +19,16 @@ import repro.runtime.Ops._
   * Each skeleton is multi-threaded, as in the paper: it runs its loop over
   * row ranges of the main input ([[RowRanges]]), each range with the
   * generated operator instance of its own thread (own ring buffers).
-  * Variants that write whole rows write disjoint rows of one output;
-  * aggregating variants keep one partial per range and combine the
-  * partials in range order.
+  * A Cell, Row or Outer skeleton writes the CPlan's [[Output]]: ranges of
+  * a [[RowAligned]] output write disjoint rows of one output; ranges of an
+  * [[Aggregate]] each keep a partial, and the partials combine in range
+  * order ([[RowRanges.combine]]), as they do in [[SpoofMultiAgg]].
   *
   * Each skeleton executes one local [[MatrixBlock]]; the distributed
-  * runtime invokes the same skeletons per row block through
-  * `DistOps.mapBlocks` / `reduceBlocks` and combines partial aggregates;
-  * inside a Spark task a skeleton runs as one range.
+  * runtime invokes the same skeletons per row block, reading the same
+  * `Output`, through `DistOps.mapBlocks` / `reduceBlocks`, which combines
+  * the blocks' partials in row-block order with the same combine; inside
+  * a Spark task a skeleton runs as one range.
   */
 object Spoof {
   /** Work per main-input value a generated operator reads, for the
@@ -61,9 +63,11 @@ sealed trait SpoofOperator extends Serializable {
 }
 
 /** Cell template skeleton: iterates cells (or non-zeros when sparse-safe)
-  * of the main input. Full aggregates run in [[SpoofMultiAgg]]. */
+  * of the main input into the CPlan's `output`; over a sparse main, NoAgg
+  * keeps its pattern. Full aggregates run in [[SpoofMultiAgg]]. */
 final class SpoofCellwise(
     val variant: CellVariant,
+    val output: Output,
     val sparseSafe: Boolean,
     val exec: ExecRef[CellExec],
 ) extends SpoofOperator {
@@ -91,23 +95,20 @@ final class SpoofCellwise(
       new SparseBlock(s.rows, s.cols, s.rowPtr, s.colIdx, vals)
     // pseudo-sparse-safe aggregation: min/max observe implicit zeros
     case CellRowAgg(f) =>
-      val out = new Array[Double](s.rows)
-      if (f != SumAgg) java.util.Arrays.fill(out, f.init)
-      RowRanges.foreach(s.rows, work) { (rl, ru) =>
+      RowRanges.fill(s.rows, work, output) { (rl, ru, out) =>
         val gx = exec.get
         var i = rl
         while (i < ru) {
+          var acc = f.init
           var q = s.rowPtr(i)
-          while (q < s.rowPtr(i + 1)) { out(i) = f(out(i), gx.genexec(s.vals(q), inputs, i, s.colIdx(q))); q += 1 }
-          if (f != SumAgg && s.rowPtr(i + 1) - s.rowPtr(i) < s.cols) out(i) = f(out(i), 0.0)
+          while (q < s.rowPtr(i + 1)) { acc = f(acc, gx.genexec(s.vals(q), inputs, i, s.colIdx(q))); q += 1 }
+          out(i) = if (f != SumAgg && s.rowPtr(i + 1) - s.rowPtr(i) < s.cols) f(acc, 0.0) else acc
           i += 1
         }
       }
-      MatrixBlock.dense(s.rows, 1, out)
     case CellColAgg(f) =>
-      val out = RowRanges.combine(RowRanges.map(s.rows, work) { (rl, ru) =>
+      val out = RowRanges.fill(s.rows, work, output) { (rl, ru, out) =>
         val gx = exec.get
-        val out = new Array[Double](s.cols)
         if (f != SumAgg) java.util.Arrays.fill(out, f.init)
         var i = rl
         while (i < ru) {
@@ -119,13 +120,12 @@ final class SpoofCellwise(
           }
           i += 1
         }
-        out
-      }, _ => f)
+      }
       if (f != SumAgg && s.nnz < s.numCells) {
         var c = 0
-        while (c < s.cols) { out(c) = f(out(c), 0.0); c += 1 }
+        while (c < s.cols) { out.values(c) = f(out.values(c), 0.0); c += 1 }
       }
-      MatrixBlock.dense(1, s.cols, out)
+      out
   }
 
   private def executeGeneric(inputs: Array[MatrixBlock], work: Long): MatrixBlock = {
@@ -134,8 +134,7 @@ final class SpoofCellwise(
     val n = main.rows; val m = main.cols
     variant match {
       case CellNoAgg =>
-        val out = new Array[Double](n * m)
-        RowRanges.foreach(n, work) { (rl, ru) =>
+        RowRanges.fill(n, work, output) { (rl, ru, out) =>
           val gx = exec.get
           var i = rl
           while (i < ru) {
@@ -145,10 +144,8 @@ final class SpoofCellwise(
             i += 1
           }
         }
-        new DenseBlock(n, m, out)
       case CellRowAgg(f) =>
-        val out = new Array[Double](n)
-        RowRanges.foreach(n, work) { (rl, ru) =>
+        RowRanges.fill(n, work, output) { (rl, ru, out) =>
           val gx = exec.get
           var i = rl
           while (i < ru) {
@@ -160,11 +157,9 @@ final class SpoofCellwise(
             i += 1
           }
         }
-        MatrixBlock.dense(n, 1, out)
       case CellColAgg(f) =>
-        MatrixBlock.dense(1, m, RowRanges.combine(RowRanges.map(n, work) { (rl, ru) =>
+        RowRanges.fill(n, work, output) { (rl, ru, out) =>
           val gx = exec.get
-          val out = new Array[Double](m)
           if (f != SumAgg) java.util.Arrays.fill(out, f.init)
           var i = rl
           while (i < ru) {
@@ -173,8 +168,7 @@ final class SpoofCellwise(
             while (j < m) { out(j) = f(out(j), gx.genexec(mv(off + j), inputs, i, j)); j += 1 }
             i += 1
           }
-          out
-        }, _ => f))
+        }
     }
   }
 }
@@ -264,16 +258,13 @@ final class SpoofMultiAgg(
   * the generated operator, a dense row as (values, offset) and a sparse
   * row as its non-zeros (paper §2.2); a compressed main input is
   * decompressed once per call. The generated code writes or accumulates
-  * each row's result into the output, whose shape the variant and the
-  * CPlan root's dimensions (`rootRows` x `rootCols`) give: each row range
-  * writes its rows of one shared output (NoAgg, RowAgg) or accumulates
-  * into its own partial (ColAgg, FullAgg, ColAggT). It reads input `k` by
-  * row if `byRow(k)`, else whole, so a sparse one is densified once per
-  * call. */
+  * each row's result into `output`, the CPlan's: each row range writes
+  * its rows of one shared row-aligned output (NoAgg, RowAgg) or
+  * accumulates into its own partial of an aggregate (ColAgg, FullAgg,
+  * ColAggT). It reads input `k` by row if `byRow(k)`, else whole, so a
+  * sparse one is densified once per call. */
 final class SpoofRowwise(
-    val variant: RowVariant,
-    val rootRows: Int,
-    val rootCols: Int,
+    val output: Output,
     val byRow: IndexedSeq[Boolean],
     val exec: ExecRef[RowExec],
 ) extends SpoofOperator {
@@ -291,17 +282,9 @@ final class SpoofRowwise(
     }
     val n = inputs(0).rows
     val m = inputs(0).cols
-    val (outRows, outCols) = variant match {
-      case RowNoAgg   => (n, rootCols)
-      case RowRowAgg  => (n, 1)
-      case RowColAgg  => (1, rootCols)
-      case RowFullAgg => (1, 1)
-      case RowColAggT => (rootRows, rootCols)
-    }
-    val disjoint = variant == RowNoAgg || variant == RowRowAgg
     val sparse = inputs(0) match { case s: SparseBlock => s; case _ => null }
     val dense = if (sparse == null) inputs(0).toDense.values else null
-    val c = RowRanges.fill(n, Spoof.work(inputs(0), sparse != null), outRows * outCols, disjoint) { (rl, ru, c) =>
+    RowRanges.fill(n, Spoof.work(inputs(0), sparse != null), output) { (rl, ru, c) =>
       val gx = exec.get
       var i = rl
       while (i < ru) {
@@ -312,17 +295,18 @@ final class SpoofRowwise(
         i += 1
       }
     }
-    new DenseBlock(outRows, outCols, c)
   }
 }
 
 /** Outer-product template skeleton: iterates the cells of the driver X,
   * only its non-zeros when X is sparse (every Outer CPlan is sparse-safe
   * w.r.t. X), with row access to the factors U and V (paper Fig. 3(a)).
-  * Each row range of X writes its rows of one shared output (NoAgg,
-  * RightMM) or accumulates into its own partial (FullAgg, LeftMM). */
+  * Each row range of X writes its rows of one shared row-aligned `output`
+  * (NoAgg, RightMM) or accumulates into its own partial of an aggregate
+  * (FullAgg, LeftMM); over a sparse X, NoAgg keeps X's pattern. */
 final class SpoofOuterProduct(
     val variant: OuterVariant,
+    val output: Output,
     /** Index of the closing matmult's other operand W in the inputs (MM variants). */
     val wIdx: Int,
     val exec: ExecRef[OuterExec],
@@ -357,22 +341,15 @@ final class SpoofOuterProduct(
       return new SparseBlock(sparse.rows, sparse.cols, sparse.rowPtr, sparse.colIdx, vals)
     }
 
-    val (outRows, outCols) = variant match {
-      case OuterFullAgg => (1, 1)
-      case OuterRightMM => (x.rows, w.cols)
-      case OuterLeftMM  => (x.cols, w.cols)
-      case OuterNoAgg   => (x.rows, x.cols)
-    }
-    val disjoint = variant == OuterRightMM || variant == OuterNoAgg
-    val out = RowRanges.fill(x.rows, work, outRows * outCols, disjoint) { (rl, ru, out) =>
+    RowRanges.fill(x.rows, work, output) { (rl, ru, out) =>
       val gx = exec.get
       @inline def process(i: Int, j: Int, xij: Double): Unit = {
         val res = gx.genexec(xij, u.values, v.values, inputs, i, j)
         variant match {
           case OuterFullAgg => out(0) += res
-          case OuterRightMM => VectorPrims.vectMultAdd(w.values, res, out, j * w.cols, i * outCols, w.cols)
-          case OuterLeftMM  => VectorPrims.vectMultAdd(w.values, res, out, i * w.cols, j * outCols, w.cols)
-          case OuterNoAgg   => out(i * outCols + j) = res
+          case OuterRightMM => VectorPrims.vectMultAdd(w.values, res, out, j * w.cols, i * w.cols, w.cols)
+          case OuterLeftMM  => VectorPrims.vectMultAdd(w.values, res, out, i * w.cols, j * w.cols, w.cols)
+          case OuterNoAgg   => out(i * dense.cols + j) = res
         }
       }
       var i = rl
@@ -387,6 +364,5 @@ final class SpoofOuterProduct(
         i += 1
       }
     }
-    new DenseBlock(outRows, outCols, out)
   }
 }

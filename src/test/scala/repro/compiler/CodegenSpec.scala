@@ -447,7 +447,7 @@ class CodegenSpec extends SparkSpec {
     }
     for ((label, plan) <- plans) plan.ops match {
       case Seq(PFused(c)) =>
-        assert(c.tpe == OuterTpl && c.sparseSafe && c.outerVariant.contains(OuterFullAgg), s"$label: $plan")
+        assert(c.tpe == OuterTpl && c.sparseSafe && c.variant == OuterFullAgg, s"$label: $plan")
       case _ => fail(s"$label: expected one fused operator:\n$plan")
     }
   }
@@ -487,7 +487,7 @@ class CodegenSpec extends SparkSpec {
         val roots = build(ctx, ctx.bindDist("X", dm))
         if (mode == GenMode(CostBased)) {
           val variants = ctx.compilePlan(roots.map(_.hop)).ops.collect {
-            case PFused(c) if c.tpe == CellTpl => c.cellVariant.get
+            case PFused(c) if c.tpe == CellTpl => c.variant
           }
           assert(variants.exists(_.isInstanceOf[CellRowAgg]) && variants.exists(_.isInstanceOf[CellColAgg]), variants)
         }

@@ -377,6 +377,95 @@ class DistSpec extends SparkSpec {
     }
   }
 
+  // ---- partials combine in row-block order ------------------------------
+
+  /** 160 x 6 in 10 row blocks of 16, with magnitudes from 1e-3 to 1e8 and
+    * both signs: its sums depend on the order of summation. */
+  private val xSpread = {
+    val rnd = new scala.util.Random(40)
+    MatrixBlock.tabulate(160, 6)((_, _) => (if (rnd.nextBoolean()) 1.0 else -1.0) * math.pow(10, rnd.between(-3.0, 8.0)))
+  }
+
+  test("reduceBlocks equals the fold of its per-block partials in row-block order") {
+    val funcs = IndexedSeq(SumAgg, MaxAgg, SumAgg, MinAgg, SumAgg, SumAgg)
+    withDist(DistOps.fromLocal(spark, xSpread, 16)) { dm =>
+      val got = DistOps.reduceBlocks(dm, Nil, 1, 6, funcs)((_, b) => LocalOps.agg(SumAgg, ColDir, b(0)))
+      val partials = (0 until 10).map(rbi => LocalOps.agg(SumAgg, ColDir, LocalOps.rowSlice(xSpread, rbi * 16, rbi * 16 + 16)))
+      val expect = partials.map(_.toDense.values).reduceLeft((p, q) => p.indices.map(i => funcs(i)(p(i), q(i))).toArray)
+      assert(got.toDense.values.sameElements(expect))
+    }
+  }
+
+  test("distributed aggregates give identical bits on every evaluation (Base, Gen multi-aggregate, Fused)") {
+    val yL = MatrixBlock.rand(160, 1, 1.0, 41, min = -1, max = 1)
+    val zL = MatrixBlock.rand(160, 6, 1.0, 42, min = -1, max = 1)
+    def colMaxs(x: MX)(implicit ctx: ExecContext): MX = new MX(new AggHop(MaxAgg, ColDir, x.hop))
+    val dags: Seq[(String, ExecMode, (ExecContext, MX) => Seq[MX])] = Seq(
+      ("sum(X)", BaseMode, (_, x) => Seq(x.sum)),
+      ("colSums(X)", BaseMode, (_, x) => Seq(x.colSums)),
+      ("colMaxs(X)", BaseMode, (c, x) => Seq(colMaxs(x)(c))),
+      ("t(X) %*% y", BaseMode, (c, x) => Seq(x.t %*% c.bindLocal("y", yL))),
+      ("sum(X^2), sum(X*Z)", GenMode(CostBased), (c, x) => Seq((x ^ 2.0).sum, (x * c.bindLocal("Z", zL)).sum)),
+      ("sum(X^2)", FusedMode, (_, x) => Seq((x ^ 2.0).sum)))
+    withDist(DistOps.fromLocal(spark, xSpread, 16)) { dm =>
+      for ((label, mode, build) <- dags) {
+        val lCtx = new ExecContext(BaseMode)
+        val expect = lCtx.eval(build(lCtx, lCtx.bindLocal("X", xSpread))).map(_.toLocal)
+        val ctx = distCtx(mode)
+        val roots = build(ctx, ctx.bindDist("X", dm))
+        val plan = ctx.compilePlan(roots.map(_.hop))
+        mode match {
+          case GenMode(_) => assert(plan.ops.exists { case PFused(c) => c.roots.size == 2; case _ => false }, plan)
+          case FusedMode  => assert(plan.ops.exists { case h: PHandCoded => h.kind == HSumSq; case _ => false }, plan)
+          case _          =>
+        }
+        val runs = (1 to 20).map(_ => ctx.eval(roots).map(_.toLocal.toDense.values.toSeq))
+        assert(runs.distinct.size == 1, s"$label: ${runs.distinct.size} distinct results over 20 evaluations")
+        runs.head.zip(expect).foreach { case (g, e) =>
+          val scale = math.max(1.0, e.toDense.values.map(math.abs).max)
+          assert(MatrixBlock.maxAbsDiff(MatrixBlock.dense(e.rows, e.cols, g.toArray), e) <= 1e-9 * scale, label)
+        }
+      }
+    }
+  }
+
+  // ---- the Fused baseline's ALS operators run per row block --------------
+
+  test("Fused wsloss, wdivmm-right and wdivmm-left over distributed sparse X equal local Base") {
+    val x0 = MatrixBlock.rand(100, 80, 0.1, 43, min = 0.1, max = 1)
+    val u0 = MatrixBlock.rand(100, 5, 1.0, 44, min = -1, max = 1)
+    val v0 = MatrixBlock.rand(80, 5, 1.0, 45, min = -1, max = 1)
+    val dags: Seq[(HandKind, (MX, MX, MX) => MX)] = Seq(
+      HWSLoss      -> ((x, u, v) => (((x.neq0 * (u %*% v.t)) - x) ^ 2.0).sum),
+      HWOuterRight -> ((x, u, v) => (x.neq0 * (u %*% v.t)) %*% v),
+      HWOuterLeft  -> ((x, u, v) => (x.neq0 * (u %*% v.t)).t %*% u))
+    withDist(DistOps.fromLocal(spark, x0, 16)) { dm =>
+      for ((kind, dag) <- dags) {
+        val lCtx = new ExecContext(BaseMode)
+        val expect = dag(lCtx.bindLocal("X", x0), lCtx.bindLocal("U", u0), lCtx.bindLocal("V", v0)).eval().toLocal
+        val ctx = distCtx(FusedMode)
+        val root = dag(ctx.bindDist("X", dm), ctx.bindLocal("U", u0), ctx.bindLocal("V", v0))
+        val plan = ctx.compilePlan(Seq(root.hop))
+        assert(plan.toString.contains(s"hand[${kind.name}]"), plan)
+        val got = root.eval().toLocal
+        assert(got.rows == expect.rows && got.cols == expect.cols, kind.name)
+        assert(MatrixBlock.maxAbsDiff(got, expect) < 1e-9, kind.name)
+      }
+    }
+  }
+
+  test("Base raises UnsupportedOperationException on X %*% t(X) over distributed X with t(X) above the budget") {
+    val x0 = MatrixBlock.rand(60, 20, 1.0, 46, min = -1, max = 1)
+    withDist(DistOps.fromLocal(spark, x0, 16)) { dm =>
+      val ctx = new ExecContext(BaseMode, CostConfig(localMemBudget = 2048, distLatencyS = 0.0), Some(spark), 16)
+      implicit val c: ExecContext = ctx
+      val x = ctx.bindDist("X", dm)
+      assert(CostModel.isDistributedHop(x.t.hop, ctx.cfg))
+      val e = intercept[UnsupportedOperationException]((x %*% x.t).eval())
+      assert(e.getMessage.contains("unsupported") && e.getMessage.contains("60x20 %*% 20x60"), e.getMessage)
+    }
+  }
+
   // ---- lifetimes of cached data ---------------------------------------
 
   /** KMeans' distance/assignment DAG, with `X %*% t(C)` (returned first)

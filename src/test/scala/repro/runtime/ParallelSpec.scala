@@ -103,12 +103,12 @@ class ParallelSpec extends SparkSpec {
   /** Per operator kind: the DAG over X and the side inputs, and the fused
     * operator that Gen's plan must contain over dense and sparse X. */
   private val skeletonDags: Seq[(String, (MX, String => MX, ExecContext) => Seq[MX], CPlan => Boolean)] = Seq(
-    ("Row NoAgg", (x, in, _) => Seq((x.abs %*% in("W")) + (x %*% in("W"))), _.rowVariant.contains(RowNoAgg)),
-    ("Row RowAgg", (x, in, _) => Seq(x.rowSums + (x * in("y")).rowMaxs), _.rowVariant.contains(RowRowAgg)),
-    ("Row ColAgg", (x, in, _) => Seq((x * in("y")).colSums), _.rowVariant.contains(RowColAgg)),
-    ("Row FullAgg", (x, in, _) => Seq(((x %*% in("W")) * (x.abs %*% in("W"))).sum), _.rowVariant.contains(RowFullAgg)),
-    ("Row ColAggT", (x, in, _) => Seq(x.t %*% (in("y") * (x %*% in("v")))), _.rowVariant.contains(RowColAggT)),
-    ("Cell ColAgg", (x, _, c) => Seq(colMaxs(x * 2.0)(c)), _.cellVariant.contains(CellColAgg(MaxAgg))),
+    ("Row NoAgg", (x, in, _) => Seq((x.abs %*% in("W")) + (x %*% in("W"))), _.variant == RowNoAgg),
+    ("Row RowAgg", (x, in, _) => Seq(x.rowSums + (x * in("y")).rowMaxs), _.variant == RowRowAgg),
+    ("Row ColAgg", (x, in, _) => Seq((x * in("y")).colSums), _.variant == RowColAgg),
+    ("Row FullAgg", (x, in, _) => Seq(((x %*% in("W")) * (x.abs %*% in("W"))).sum), _.variant == RowFullAgg),
+    ("Row ColAggT", (x, in, _) => Seq(x.t %*% (in("y") * (x %*% in("v")))), _.variant == RowColAggT),
+    ("Cell ColAgg", (x, _, c) => Seq(colMaxs(x * 2.0)(c)), _.variant == CellColAgg(MaxAgg)),
     ("MAgg", (x, in, _) => Seq((x ^ 2.0).sum, (x * in("Z")).sum, (in("Z") ^ 2.0).sum),
       c => c.tpe == MAggTpl && c.roots.size > 1))
 
@@ -145,7 +145,7 @@ class ParallelSpec extends SparkSpec {
       if (format == "sparse") {
         val ctx = new ExecContext(GenMode(CostBased))
         val plan = ctx.compilePlan(build(ctx).map(_.hop))
-        assert(plan.ops.exists { case PFused(c) => c.outerVariant.contains(variant); case _ => false }, plan.toString)
+        assert(plan.ops.exists { case PFused(c) => c.variant == variant; case _ => false }, plan.toString)
       }
       // FullAgg over dense X adds ~10^6 terms to a total near 5e5, in
       // another order per mode: 1e-6 is ~1e-12 of it

@@ -41,7 +41,7 @@ class SpoofRowwiseSpec extends SparkSpec {
       case Seq(c) => c
       case cs     => fail(s"expected one Row operator, got $cs")
     }
-    assert(cplan.rowVariant.contains(variant), cplan)
+    assert(cplan.variant == variant, cplan)
     val op = Codegen.compile(cplan)
     val results = formats.map { case (name, x) =>
       name -> op.execute(cplan.inputs.map {
